@@ -1,11 +1,27 @@
-"""Legacy setup shim.
+"""Package metadata and the ``repro`` console script.
 
 The execution environment has no ``wheel`` package and no network, so PEP 660
-editable installs fail; this shim lets ``pip install -e . --no-use-pep517``
-take the classic ``setup.py develop`` path.  All metadata lives in
-``pyproject.toml``.
+editable installs fail; ``pip install -e . --no-use-pep517`` takes the
+classic ``setup.py develop`` path instead.  The version is read from
+``src/repro/__init__.py`` without importing the package.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description="TrojanZero (DATE 2019) reproduction toolkit",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro=repro.cli:main"]},
+)

@@ -91,11 +91,11 @@ class FaultSimResult:
 class FaultSimulator:
     """Cone-restricted, matrix-based stuck-at fault simulator."""
 
-    def __init__(self, circuit: Circuit, backend=None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         if circuit.is_sequential:
             raise NetlistError("fault simulation supports combinational circuits only")
         self.circuit = circuit
-        self._compiled: CompiledCircuit = compile_circuit(circuit, backend)
+        self._compiled: CompiledCircuit = compile_circuit(circuit)
 
     def _detect_mask_single_word(
         self, site: int, stuck: int, good: List[int], mask: int
@@ -137,7 +137,7 @@ class FaultSimulator:
         mask = (1 << n_patterns) - 1
         # Inverting gates set the pad bits past n_patterns in the compiled
         # matrix; mask them off so the == early-exits below stay exact.
-        column = self._compiled.backend.to_numpy(matrix[:, 0])
+        column = matrix[:, 0]
         good: List[int] = (column & np.uint64(mask)).tolist()
         for fault in faults:
             site = self._compiled.index[fault.net]
@@ -168,7 +168,7 @@ class FaultSimulator:
         if not excite.any():
             return None  # never excited by any pattern
         cone = cc.cone_schedule(fault.net)
-        detect = cc.backend.xp.zeros(good.shape[1], dtype=np.uint64)
+        detect = np.zeros(good.shape[1], dtype=np.uint64)
         if cone.po_rows.size:
             scratch[site] = stuck
             cc.run_cone(cone, scratch)
@@ -179,7 +179,7 @@ class FaultSimulator:
             scratch[site] = good[site]
         if cone.site_is_output:
             detect = detect | excite
-        detect = cc.backend.to_numpy(detect & masks)
+        detect = detect & masks
         nonzero = np.flatnonzero(detect)
         if nonzero.size == 0:
             return None
@@ -228,14 +228,12 @@ class FaultSimulator:
         if n_patterns <= WORD_BITS:
             return self._run_single_word(patterns, remaining, result)
         good = self._compiled.simulate_packed(pack_patterns(patterns))
-        masks = self._compiled.backend.asarray(tail_mask(n_patterns))
+        masks = tail_mask(n_patterns)
         if drop_detected:
             # Pre-drop pass: most faults fall to the first 64 patterns, and the
             # Python-int cone walk on one word is far cheaper than a
             # whole-matrix cone evaluation.  Survivors pay the matrix cost.
-            first_col: List[int] = self._compiled.backend.to_numpy(
-                good[:, 0]
-            ).tolist()
+            first_col: List[int] = good[:, 0].tolist()
             survivors: List[StuckAtFault] = []
             for fault in remaining:
                 site = self._compiled.index[fault.net]

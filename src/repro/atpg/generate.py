@@ -80,9 +80,6 @@ class AtpgConfig:
     max_patterns: Optional[int] = None
     #: Target hardest faults last (SCOAP ordering), like industrial tools.
     order_by_testability: bool = True
-    #: Fault-simulation engine: "auto" (PPSFP for large fault lists),
-    #: "ppsfp", or "single" — all bit-identical (see repro.atpg.ppsfp).
-    fault_sim_mode: str = "auto"
 
 
 def generate_test_set(
@@ -108,7 +105,7 @@ def generate_test_set(
         if not remaining:
             break
         block = (rng.random((config.block_size, n_inputs)) < 0.5).astype(np.uint8)
-        outcome = simulator.run(block, remaining, mode=config.fault_sim_mode)
+        outcome = simulator.run(block, remaining)
         if outcome.detected:
             detecting_rows = sorted({idx for idx in outcome.detected.values()})
             kept_patterns.append(block[detecting_rows])
@@ -144,9 +141,7 @@ def generate_test_set(
                 [[result.test[pi] for pi in circuit.inputs]], dtype=np.uint8
             )
             kept_patterns.append(vector)
-            outcome = simulator.run(
-                vector, remaining[index:], mode=config.fault_sim_mode
-            )
+            outcome = simulator.run(vector, remaining[index:])
             if fault in outcome.undetected:
                 # Defensive: PODEM claimed detection but simulation disagrees
                 # (should not happen); avoid looping forever on this fault.
@@ -172,17 +167,11 @@ def generate_test_set(
     # ------------------------------------------------------------------
     # Phase 3: reverse-order static compaction, then the pattern budget.
     if config.compaction and patterns.shape[0] > 1:
-        patterns = _compact(
-            simulator, patterns, target_faults, config.fault_sim_mode
-        )
+        patterns = _compact(simulator, patterns, target_faults)
     if config.max_patterns is not None and patterns.shape[0] > config.max_patterns:
         patterns = patterns[: config.max_patterns]
 
-    final = (
-        simulator.run(patterns, target_faults, mode=config.fault_sim_mode)
-        if patterns.size
-        else None
-    )
+    final = simulator.run(patterns, target_faults) if patterns.size else None
     covered = set(final.detected) if final else set()
     return TestSet(
         circuit_name=circuit.name,
@@ -200,17 +189,14 @@ def _compact(
     simulator: FaultSimulator,
     patterns: np.ndarray,
     faults: Sequence[StuckAtFault],
-    mode: str = "auto",
 ) -> np.ndarray:
     """Reverse-order static compaction: drop vectors that add no coverage."""
-    full = simulator.run(patterns, faults, drop_detected=True, mode=mode)
+    full = simulator.run(patterns, faults, drop_detected=True)
     baseline = set(full.detected)
     keep = np.ones(patterns.shape[0], dtype=bool)
     for row in range(patterns.shape[0] - 1, -1, -1):
         keep[row] = False
-        trial = simulator.run(
-            patterns[keep], list(baseline), drop_detected=True, mode=mode
-        )
+        trial = simulator.run(patterns[keep], list(baseline), drop_detected=True)
         if set(trial.detected) != baseline:
             keep[row] = True
     return patterns[keep]

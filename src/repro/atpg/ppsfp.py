@@ -39,10 +39,6 @@ Patterns are swept in geometrically growing word chunks (64 patterns, then
 one narrow sweep, survivors amortize the Python overhead over ever-wider
 matrices, and because chunks are scanned in pattern order the recorded
 index is still the *global* first detection.
-
-Everything here runs on the compiled form's array backend
-(:mod:`repro.sim.backend`), so a CuPy-compiled circuit propagates fault
-batches on the GPU with no code changes.
 """
 
 from __future__ import annotations
@@ -52,8 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.backend import ALL_ONES, WORD_BITS
-from ..sim.bitsim import pack_patterns, tail_mask
+from ..sim.bitsim import ALL_ONES, WORD_BITS, pack_patterns, tail_mask
 from ..sim.compiled import CompiledCircuit, GateGroup, _evaluate_group
 from .fault import StuckAtFault
 
@@ -163,18 +158,17 @@ def _run_batch(
 ) -> Dict[int, int]:
     """Propagate one fault batch against one pattern chunk.
 
-    ``good`` is the chunk's settled ``(n_nets, w)`` matrix on the compiled
-    backend; ``masks`` is the chunk's ``(w,)`` tail mask, already on the
-    backend.  Returns slot -> first detecting pattern *within the chunk*.
+    ``good`` is the chunk's settled ``(n_nets, w)`` matrix; ``masks`` is the
+    chunk's ``(w,)`` tail mask.  Returns slot -> first detecting pattern
+    *within the chunk*.
     """
-    xp = compiled.backend.xp
     n_words = good.shape[1]
     n_faults = len(plan.sites)
 
     # Widen: fault slot b owns columns [b*w, (b+1)*w).  Only the rows the
     # sweep touches get their good values replicated; the rest stay
     # uninitialized and are never read.
-    values = xp.empty((compiled.n_nets, n_faults * n_words), dtype=np.uint64)
+    values = np.empty((compiled.n_nets, n_faults * n_words), dtype=np.uint64)
     cube = values.reshape(compiled.n_nets, n_faults, n_words)
     cube[plan.touched] = good[plan.touched][:, None, :]
     for slot, (site, word) in enumerate(zip(plan.sites, plan.stuck)):
@@ -192,9 +186,8 @@ def _run_batch(
     # One batched XOR + OR over the PO axis: (n_po, B, w) -> (B, w).
     diff = cube[plan.po_rows] ^ good[plan.po_rows][:, None, :]
     detect = np.bitwise_or.reduce(diff, axis=0) & masks
-    detect_host = compiled.backend.to_numpy(detect)
-    for slot in np.flatnonzero(detect_host.any(axis=1)):
-        detected[int(slot)] = _first_pattern(detect_host[slot])
+    for slot in np.flatnonzero(detect.any(axis=1)):
+        detected[int(slot)] = _first_pattern(detect[slot])
     return detected
 
 
@@ -261,7 +254,6 @@ def ppsfp_detections(
     max_chunk = max(
         1, MATRIX_BUDGET_BYTES // (max(compiled.n_nets, 1) * batch_size * 8)
     )
-    backend = compiled.backend
     # One good-circuit pass for the whole pattern set; chunks below are
     # column views into it (no schedule re-runs per chunk).
     good_all = compiled.simulate_packed(packed)
@@ -275,10 +267,7 @@ def ppsfp_detections(
         ALL_ONES,
         np.uint64(0),
     )
-    excitable = backend.to_numpy(
-        ((good_all[sites_arr] ^ backend.asarray(stuck_col))
-         & backend.asarray(masks_all)).any(axis=1)
-    )
+    excitable = ((good_all[sites_arr] ^ stuck_col) & masks_all).any(axis=1)
     remaining = [f for f, ok in zip(remaining, excitable) if ok]
     if not remaining:
         return detected
@@ -321,7 +310,7 @@ def ppsfp_detections(
                 batches.append((batch, plan))
             swept = len(remaining)
         good = good_all[:, word0 : word0 + width]
-        masks = backend.asarray(masks_all[word0 : word0 + width])
+        masks = masks_all[word0 : word0 + width]
         for batch, plan in batches:
             for slot, first in _run_batch(compiled, plan, good, masks).items():
                 detected.setdefault(batch[slot], word0 * WORD_BITS + first)

@@ -26,8 +26,8 @@ Commands
 ``power``      report power/area of a circuit under the 65nm-class model
 ``equiv``      SAT equivalence check between two .bench files
 ``lint``       AST-based invariant checker over the source tree (seed
-               discipline, payload purity, backend routing, service
-               lock/import hygiene); ``--json`` for machine findings
+               discipline, payload purity, service lock/import
+               hygiene); ``--json`` for machine findings
 
 Circuit arguments accept any name in the :data:`repro.api.CIRCUITS` registry
 (c17, c432, c499, c880, c1355, c1908, c3540, c6288, plus anything registered
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import List, Optional
@@ -505,12 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="TrojanZero (DATE 2019) reproduction toolkit",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="array backend for the simulation engine (numpy, cupy); "
-        "defaults to $REPRO_ARRAY_BACKEND or numpy",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("attack", help="run the full TrojanZero flow")
@@ -665,8 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="AST-based invariant checker (seed discipline, payload "
-             "purity, backend routing, service hygiene); exits 1 on "
-             "any finding",
+             "purity, service hygiene); exits 1 on any finding",
     )
     p.add_argument("paths", nargs="*",
                    help="files or directories to check (default: src/)")
@@ -689,13 +681,6 @@ def main(argv: Optional[list] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        from .sim.backend import ENV_VAR, set_default_backend
-
-        set_default_backend(args.backend)  # fails loudly on unknown names
-        # Campaign workers are separate processes; they inherit the choice
-        # through the environment.
-        os.environ[ENV_VAR] = args.backend
     try:
         return args.func(args)
     except ChaosConfigError as exc:

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based invariant checker: seed discipline, payload "
-        "purity, backend routing, service lock/import hygiene",
+        "purity, service lock/import hygiene",
     )
     parser.add_argument(
         "paths", nargs="*", help="files or directories (default: src/)"

@@ -3,8 +3,8 @@
 Two very different kinds of "allow" live here and must not be confused:
 
 * **Structural boundaries** — frozen constants below that *define* the
-  invariants (which packages are compute kernels, which numpy attributes
-  are host-side, which service module is the declared numeric boundary).
+  invariants (which record arguments are non-payload sinks, which service
+  module is the declared numeric boundary).
   These are part of the rules themselves: changing them is changing the
   repo's contract and belongs in review.
 * **The suppression :class:`Allowlist`** — per-site escape hatches loaded
@@ -75,53 +75,6 @@ RECORD_CONSTRUCTORS = {
 
 #: ``cls(...)`` only counts as a record construction inside these classes.
 RECORD_CLASSES = frozenset({"ExperimentRecord"})
-
-# --------------------------------------------------------------------------
-# R3 — backend discipline (protects PR 7's bit-identity guarantee behind
-# the ArrayBackend shim: kernels obtain the array namespace from
-# repro.sim.backend; direct numpy use is confined to the host side).
-# --------------------------------------------------------------------------
-
-#: Packages whose modules are compute kernels riding the backend shim.
-KERNEL_PACKAGES = ("repro.sim", "repro.atpg", "repro.traces")
-
-#: The one module that *is* the numpy boundary: the backend shim itself.
-BACKEND_BOUNDARY_MODULES = frozenset({"repro.sim.backend"})
-
-#: Host-side numpy surface kernels may touch directly: dtype constants and
-#: annotations, pack/unpack and host staging, index plumbing for the group
-#: schedule, and host-side statistics on arrays already brought back via
-#: ``backend.to_numpy``.  Deliberately absent: ``matmul``/``einsum``/
-#: ``dot``/``tensordot`` (the trace-matmul class of work — must ride
-#: ``compiled.backend.xp`` so one flag moves it to GPU), ``linalg``/
-#: ``fft``, and file I/O (``save``/``load``/``memmap``).  Growing this set
-#: is a reviewed contract change, not a local convenience.
-HOST_SIDE_NP_ATTRS = frozenset({
-    # dtypes, scalars, annotations
-    "ndarray", "dtype", "generic", "integer", "floating",
-    "uint8", "uint16", "uint32", "uint64", "int8", "int16", "int32",
-    "int64", "intp", "float32", "float64", "bool_", "newaxis", "inf", "nan",
-    # the seeded-RNG namespace (R1 governs how it is used)
-    "random",
-    # pack/unpack and host staging
-    "packbits", "unpackbits", "asarray", "ascontiguousarray", "array",
-    "atleast_2d", "stack", "concatenate", "arange", "zeros", "ones",
-    "full", "empty", "zeros_like", "ones_like", "empty_like", "full_like",
-    # schedule/index plumbing
-    "where", "flatnonzero", "nonzero", "unique", "searchsorted", "isin",
-    "repeat", "diff", "argsort", "lexsort", "split", "cumsum",
-    # host-side elementwise/statistics (post to_numpy)
-    "clip", "round", "roll", "mean", "std", "var", "abs", "sqrt", "sum",
-    "max", "min", "maximum", "minimum", "quantile", "median", "argmax",
-    "argmin", "any", "all", "count_nonzero", "isclose", "allclose",
-    "array_equal",
-    # word-level bit ops: numpy's ufunc protocol dispatches these to the
-    # backend when operands live there (see repro.sim.backend docstring)
-    "bitwise_xor", "bitwise_or", "bitwise_and", "invert", "left_shift",
-    "right_shift",
-    # error-state context manager around host reductions
-    "errstate",
-})
 
 # --------------------------------------------------------------------------
 # R4 — service hygiene (protects PR 8's deployability story — the fleet

@@ -20,12 +20,16 @@ import numpy as np
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gate import GateType
-from .backend import ALL_ONES, FULL_MASK, WORD_BITS
-from .compiled import CompiledCircuit, compile_circuit
+from .compiled import (
+    ALL_ONES,
+    FULL_MASK,
+    WORD_BITS,
+    CompiledCircuit,
+    compile_circuit,
+)
 
-# Single home of the 64-bit word constants (defined in ``repro.sim.backend``
-# beside the array namespace, re-exported here as the stable import point
-# for the rest of the package).
+# The 64-bit word constants are defined in ``repro.sim.compiled`` (which this
+# module imports) and re-exported here as the stable public import point.
 __all__ = [
     "ALL_ONES",
     "FULL_MASK",
@@ -122,14 +126,13 @@ class BitSimulator:
     so constructing many simulators for the same circuit is cheap.
     """
 
-    def __init__(self, circuit: Circuit, backend=None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         if circuit.is_sequential:
             raise NetlistError(
                 f"{circuit.name!r} contains DFFs; use SequentialSimulator"
             )
         self.circuit = circuit
-        self._compiled: CompiledCircuit = compile_circuit(circuit, backend)
-        self._backend = self._compiled.backend
+        self._compiled: CompiledCircuit = compile_circuit(circuit)
         self._order = self._compiled.order
 
     def run_packed(self, packed_inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -140,11 +143,10 @@ class BitSimulator:
         n_words = len(next(iter(packed_inputs.values()))) if packed_inputs else 1
         values = self._compiled.new_matrix(n_words)
         for i, pi in enumerate(self.circuit.inputs):
-            values[self._compiled.input_idx[i]] = self._backend.asarray(
+            values[self._compiled.input_idx[i]] = np.asarray(
                 packed_inputs[pi], dtype=np.uint64
             )
         self._compiled.run_matrix(values)
-        values = self._backend.to_numpy(values)
         # A patched/shared compiled form may carry rows for dead-stripped
         # nets; report only nets the circuit actually has.
         return {
@@ -171,16 +173,14 @@ class BitSimulator:
                 f"got {patterns.shape[1]}"
             )
         values = self._run_matrix(patterns)
-        return unpack_patterns(
-            self._backend.to_numpy(values[self._compiled.output_idx]), n_patterns
-        )
+        return unpack_patterns(values[self._compiled.output_idx], n_patterns)
 
     def run_full(self, patterns: np.ndarray) -> Dict[str, np.ndarray]:
         """Like :meth:`run` but returns every net, unpacked, keyed by name."""
         patterns = np.atleast_2d(np.asarray(patterns))
         n_patterns = patterns.shape[0]
         values = self._run_matrix(patterns)
-        unpacked = unpack_patterns(self._backend.to_numpy(values), n_patterns)
+        unpacked = unpack_patterns(values, n_patterns)
         return {
             net: unpacked[:, i]
             for i, net in enumerate(self._order)
@@ -197,7 +197,7 @@ class BitSimulator:
         n_patterns = patterns.shape[0]
         values = self._run_matrix(patterns)
         rows = np.array([self._compiled.index[net] for net in nets], dtype=np.intp)
-        return unpack_patterns(self._backend.to_numpy(values[rows]), n_patterns)
+        return unpack_patterns(values[rows], n_patterns)
 
 
 def _eval_packed(

@@ -78,13 +78,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gate import GateType
-from .backend import ALL_ONES, ArrayBackend, resolve_backend
+
+#: Patterns per simulation word (one uint64 per 64 patterns).
+WORD_BITS = 64
+
+#: All 64 bits set, as the uint64 scalar used in vectorized inversions.
+ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: All 64 bits set, as a Python int (for arbitrary-precision word walks).
+FULL_MASK = (1 << WORD_BITS) - 1
 
 #: Bound on the fired-DFF-set -> ripple sub-schedule cache (counters revisit
 #: a handful of sets; an adversarial workload must not grow it unboundedly).
@@ -232,19 +240,11 @@ class CompiledCircuit:
     edge-driven state update of :meth:`step_sequential` needs.
     """
 
-    def __init__(
-        self, circuit: Circuit, backend: Union[str, ArrayBackend, None] = None
-    ) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         # Deliberately no reference to ``circuit`` is kept: compiled forms
         # are shared across circuit objects (fingerprint cache, copies) and
         # must not pin their source object alive or observe its mutations —
         # everything needed at runtime is lowered into arrays here.
-        #
-        # The schedule's index arrays stay host-side (NumPy) regardless of
-        # backend — they are tiny and both NumPy and CuPy accept host index
-        # arrays in fancy indexing; only the *value matrices* live on the
-        # backend (see :meth:`new_matrix`).
-        self.backend: ArrayBackend = resolve_backend(backend)
         levels = circuit.levels()
 
         # Bucket gates by (level, type, arity); sources (PIs/constants/DFF
@@ -352,11 +352,8 @@ class CompiledCircuit:
 
         Every non-constant row is either a PI row (the caller fills it) or is
         written by the schedule, so the bulk allocation stays uninitialized.
-        The matrix is allocated on :attr:`backend` (host for NumPy, device
-        for CuPy); the group schedule evaluates on it through the NumPy ufunc
-        dispatch protocol either way.
         """
-        values = self.backend.xp.empty((self.n_nets, n_words), dtype=np.uint64)
+        values = np.empty((self.n_nets, n_words), dtype=np.uint64)
         if self.input_idx.size:
             values[self.input_idx] = 0
         if self.tie0_idx.size:
@@ -375,7 +372,7 @@ class CompiledCircuit:
 
     def simulate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Simulate ``(n_inputs, n_words)`` packed PI words; returns the matrix."""
-        packed_inputs = self.backend.asarray(packed_inputs, dtype=np.uint64)
+        packed_inputs = np.asarray(packed_inputs, dtype=np.uint64)
         if packed_inputs.ndim == 1:
             packed_inputs = packed_inputs.reshape(-1, 1)
         n_words = packed_inputs.shape[1]
@@ -626,9 +623,8 @@ class CompileStats:
 #: Process-wide compile counters; read with ``COMPILE_STATS.snapshot()``.
 COMPILE_STATS = CompileStats()
 
-#: (fingerprint, backend-name)-keyed LRU of compiled forms shared across
-#: circuit *objects*.
-_SHARED_CACHE: "OrderedDict[Tuple[str, str], CompiledCircuit]" = OrderedDict()
+#: Fingerprint-keyed LRU of compiled forms shared across circuit *objects*.
+_SHARED_CACHE: "OrderedDict[str, CompiledCircuit]" = OrderedDict()
 _SHARED_CACHE_MAX = 48
 
 #: A patch inherits the ancestor's rows, dead ones included; recompile in
@@ -678,7 +674,6 @@ def _build_patched(
     harmless — they read only rows that are still computed).
     """
     comp = CompiledCircuit.__new__(CompiledCircuit)
-    comp.backend = parent.backend
     comp.order = parent.order
     comp.index = parent.index
     comp.n_nets = parent.n_nets
@@ -750,9 +745,7 @@ def _build_patched(
     return comp
 
 
-def _patch_from_ancestor(
-    circuit: Circuit, backend: ArrayBackend
-) -> Optional[CompiledCircuit]:
+def _patch_from_ancestor(circuit: Circuit) -> Optional[CompiledCircuit]:
     """Try to derive a compiled form from the copy-ancestor chain."""
     parent = getattr(circuit, "_derived_from", None)
     for _ in range(8):  # accepted trials re-attach, so real chains are short
@@ -766,8 +759,6 @@ def _patch_from_ancestor(
     parent_compiled: CompiledCircuit = parent._compiled_cache
     if parent_compiled is None:
         return None
-    if parent_compiled.backend.name != backend.name:
-        return None  # a patch shares the ancestor's arrays, backend included
     if len(circuit._gates) < _PATCH_MIN_LIVE_FRACTION * parent_compiled.n_nets:
         return None
     # The attached compiled form may be shared; diff against the gate map of
@@ -780,36 +771,29 @@ def _patch_from_ancestor(
     return _build_patched(parent_compiled, circuit, tied)
 
 
-def compile_circuit(
-    circuit: Circuit, backend: Union[str, ArrayBackend, None] = None
-) -> CompiledCircuit:
+def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compile ``circuit`` through the attached / fingerprint / patch caches.
 
     The result is memoized on the circuit object until it is mutated, and in
     a bounded fingerprint-keyed LRU shared across circuit objects, so copies
     and edit/revert round-trips never recompile cold.  Single-gate constant
     ties (salvage trials) reuse the ancestor's schedule via patching.
-
-    ``backend`` selects the array backend the compiled form's value matrices
-    run on (default: the process default — see :mod:`repro.sim.backend`);
-    cache entries are keyed per backend, so mixed-backend use never aliases.
     """
-    backend = resolve_backend(backend)
     cached = getattr(circuit, "_compiled_cache", None)
-    if cached is not None and cached.backend.name == backend.name:
+    if cached is not None:
         COMPILE_STATS.attached_hits += 1
         return cached
-    key = (circuit.structural_fingerprint(), backend.name)
+    key = circuit.structural_fingerprint()
     cached = _SHARED_CACHE.get(key)
     if cached is not None:
         COMPILE_STATS.fingerprint_hits += 1
         _SHARED_CACHE.move_to_end(key)
     else:
-        cached = _patch_from_ancestor(circuit, backend)
+        cached = _patch_from_ancestor(circuit)
         if cached is not None:
             COMPILE_STATS.patched_compiles += 1
         else:
-            cached = CompiledCircuit(circuit, backend)
+            cached = CompiledCircuit(circuit)
             COMPILE_STATS.full_compiles += 1
         _SHARED_CACHE[key] = cached
         while len(_SHARED_CACHE) > _SHARED_CACHE_MAX:

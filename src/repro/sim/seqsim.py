@@ -64,10 +64,9 @@ class SequentialSimulator:
     so functional-testing code can treat N, N' and N'' uniformly.
     """
 
-    def __init__(self, circuit: Circuit, backend=None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self._compiled: CompiledCircuit = compile_circuit(circuit, backend)
-        self._backend = self._compiled.backend
+        self._compiled: CompiledCircuit = compile_circuit(circuit)
         self._dffs: List[str] = list(self._compiled.dff_names)
         self._state: Optional[np.ndarray] = None
         self._prev_clk: Optional[np.ndarray] = None
@@ -81,9 +80,7 @@ class SequentialSimulator:
     def reset(self, n_sequences: int) -> None:
         """Zero all flip-flop states for ``n_sequences`` parallel sequences."""
         self._n_words = (n_sequences + 63) // 64
-        self._state = self._backend.xp.zeros(
-            (len(self._dffs), self._n_words), dtype=np.uint64
-        )
+        self._state = np.zeros((len(self._dffs), self._n_words), dtype=np.uint64)
         self._prev_clk = None
         self._values = self._compiled.new_matrix(self._n_words)
 
@@ -123,7 +120,7 @@ class SequentialSimulator:
             )
         else:
             packed = np.zeros((0, self._n_words), dtype=np.uint64)
-        values = self._backend.to_numpy(self._step_matrix(packed))
+        values = self._step_matrix(packed)
         index = self._compiled.index
         return {
             net: values[index[net]].copy()
@@ -176,7 +173,7 @@ class SequentialSimulator:
                 self._step_matrix(packed_steps[t])
             return out
         chunk = max(1, _CHUNK_WORD_BUDGET // (rows.size * max(n_words, 1)))
-        buffer = self._backend.xp.empty(
+        buffer = np.empty(
             (min(chunk, n_steps), rows.size, n_words), dtype=np.uint64
         )
         t = 0
@@ -186,10 +183,7 @@ class SequentialSimulator:
                 values = self._step_matrix(packed_steps[t + k])
                 buffer[k] = values[rows]
             unpacked = unpack_patterns(
-                self._backend.to_numpy(
-                    buffer[:span].reshape(span * rows.size, n_words)
-                ),
-                n_seqs,
+                buffer[:span].reshape(span * rows.size, n_words), n_seqs
             )
             out[:, t : t + span, :] = unpacked.reshape(n_seqs, span, rows.size)
             t += span

@@ -16,11 +16,6 @@ masking or slot arithmetic would break first.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -29,7 +24,6 @@ from repro.atpg.faultsim import PPSFP_MIN_FAULTS, reference_fault_sim
 from repro.atpg.ppsfp import FAULT_BATCH, ppsfp_detections
 from repro.bench import c17, c432_like, c880_like
 from repro.netlist import Circuit, GateType
-from repro.sim.backend import NumpyBackend, available_backends, get_backend
 from repro.sim.bitsim import WORD_BITS
 from repro.sim.compiled import compile_circuit
 
@@ -192,67 +186,3 @@ class TestModeDispatch:
         want = reference_fault_sim(circuit, patterns, faults)
         assert outcome.detected == want.detected
 
-
-class TestBackendParity:
-    def test_numpy_env_var_is_byte_identical(self):
-        """``REPRO_ARRAY_BACKEND=numpy`` must not perturb a single bit.
-
-        Run the same seeded PPSFP sweep in a subprocess with the env var set
-        and compare the full detection map against the in-process default.
-        """
-        circuit = random_circuit(11)
-        patterns = _patterns(circuit, 130, 11)
-        faults = _sample_faults(circuit, 90, 11)
-        here = FaultSimulator(circuit).run(patterns, faults, mode="ppsfp")
-        expected = sorted(
-            (f.net, f.value, idx) for f, idx in here.detected.items()
-        )
-
-        script = (
-            "import json, sys\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "from tests.test_ppsfp import random_circuit, _patterns, _sample_faults\n"
-            "from repro.atpg import FaultSimulator\n"
-            "circuit = random_circuit(11)\n"
-            "patterns = _patterns(circuit, 130, 11)\n"
-            "faults = _sample_faults(circuit, 90, 11)\n"
-            "out = FaultSimulator(circuit).run(patterns, faults, mode='ppsfp')\n"
-            "rows = sorted((f.net, f.value, i) for f, i in out.detected.items())\n"
-            "print(json.dumps(rows))\n"
-        )
-        repo_root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, REPRO_ARRAY_BACKEND="numpy")
-        env["PYTHONPATH"] = str(repo_root / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(repo_root)],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        import json
-
-        got = [tuple(row) for row in json.loads(proc.stdout)]
-        assert got == expected
-
-    def test_explicit_numpy_backend_matches_default(self):
-        circuit = random_circuit(12)
-        patterns = _patterns(circuit, 96, 12)
-        faults = _sample_faults(circuit, 60, 12)
-        default = FaultSimulator(circuit).run(patterns, faults, mode="ppsfp")
-        explicit = FaultSimulator(circuit, backend=NumpyBackend()).run(
-            patterns, faults, mode="ppsfp"
-        )
-        assert default.detected == explicit.detected
-        assert default.undetected == explicit.undetected
-
-    def test_unknown_backend_rejected_with_choices(self):
-        with pytest.raises(ValueError, match="numpy"):
-            get_backend("tpu")
-
-    def test_cupy_guard(self):
-        """Without CuPy installed, selecting it must raise cleanly (no crash)."""
-        if "cupy" in available_backends():
-            pytest.skip("CuPy present; guard path not reachable")
-        with pytest.raises(ValueError, match="cupy"):
-            get_backend("cupy")
