@@ -11,7 +11,9 @@ shot per fault (no per-64-pattern blocking, no Python-int bit twiddling).
 This powers (a) the ATPG outer loop (drop every fault a fresh PODEM vector
 detects), (b) coverage reporting, and (c) the reproduction's analysis of
 *which* stuck-at faults the defender's TP set leaves uncovered — the holes
-TrojanZero's removals hide in.
+TrojanZero's removals hide in.  ``run(..., words=True)`` also returns the
+full no-drop detection matrix (every fault against every pattern), which
+the ATPG flow's static compaction reads in place of per-pattern re-runs.
 
 The pre-compiled implementation (64 patterns per arbitrary-precision Python
 int, one block at a time) is retained as :func:`reference_fault_sim` for
@@ -30,7 +32,7 @@ from ..netlist.gate import GateType
 from ..sim.bitsim import ALL_ONES, FULL_MASK, WORD_BITS, pack_patterns, tail_mask
 from ..sim.compiled import CompiledCircuit, compile_circuit
 from .fault import StuckAtFault
-from .ppsfp import ppsfp_detections
+from .ppsfp import _first_pattern, ppsfp_detect_words, ppsfp_detections
 
 #: ``mode="auto"`` switches to PPSFP at this many faults (and > 64 patterns):
 #: below it, the pre-drop word walk wins on constant factors.
@@ -81,6 +83,9 @@ class FaultSimResult:
     detected: Dict[StuckAtFault, int] = field(default_factory=dict)
     undetected: List[StuckAtFault] = field(default_factory=list)
     patterns_applied: int = 0
+    #: ``run(..., words=True)`` only: the ``(n_faults, n_words)`` uint64
+    #: detection matrix, one row per input fault.
+    words: Optional[np.ndarray] = None
 
     @property
     def coverage(self) -> float:
@@ -126,47 +131,44 @@ class FaultSimulator:
             detect |= stuck ^ good[site]
         return detect & mask
 
-    def _run_single_word(
-        self,
-        patterns: np.ndarray,
-        faults: List[StuckAtFault],
-        result: FaultSimResult,
-    ) -> FaultSimResult:
+    def _single_word_masks(
+        self, patterns: np.ndarray, faults: Sequence[StuckAtFault]
+    ) -> List[int]:
+        """Per-fault detect mask over one word of at most 64 patterns."""
         n_patterns = patterns.shape[0]
         matrix = self._compiled.simulate_packed(pack_patterns(patterns))
         mask = (1 << n_patterns) - 1
         # Inverting gates set the pad bits past n_patterns in the compiled
-        # matrix; mask them off so the == early-exits below stay exact.
+        # matrix; mask them off so the == early-exits stay exact.
         column = matrix[:, 0]
         good: List[int] = (column & np.uint64(mask)).tolist()
-        for fault in faults:
-            site = self._compiled.index[fault.net]
-            detect = self._detect_mask_single_word(
-                site, mask if fault.value else 0, good, mask
+        index = self._compiled.index
+        return [
+            self._detect_mask_single_word(
+                index[fault.net], mask if fault.value else 0, good, mask
             )
-            if detect:
-                result.detected[fault] = (detect & -detect).bit_length() - 1
-        result.undetected = [f for f in faults if f not in result.detected]
-        return result
+            for fault in faults
+        ]
 
-    def _first_detection(
+    def _cone_detect(
         self,
         fault: StuckAtFault,
         good: np.ndarray,
         scratch: np.ndarray,
         masks: np.ndarray,
-    ) -> Optional[int]:
-        """Index of the first pattern detecting ``fault``, or ``None``.
+    ) -> Optional[np.ndarray]:
+        """Detect words of ``fault`` over the whole matrix, or ``None``.
 
-        ``scratch`` is a working copy of ``good``; it is restored to the good
-        values (cone rows only) before returning.
+        ``None`` means no pattern excites the fault.  ``scratch`` is a
+        working copy of ``good``; it is restored to the good values (cone
+        rows only) before returning.
         """
         cc = self._compiled
         site = cc.index[fault.net]
         stuck = ALL_ONES if fault.value else np.uint64(0)
         excite = (good[site] ^ stuck) & masks
         if not excite.any():
-            return None  # never excited by any pattern
+            return None
         cone = cc.cone_schedule(fault.net)
         detect = np.zeros(good.shape[1], dtype=np.uint64)
         if cone.po_rows.size:
@@ -179,13 +181,40 @@ class FaultSimulator:
             scratch[site] = good[site]
         if cone.site_is_output:
             detect = detect | excite
-        detect = detect & masks
-        nonzero = np.flatnonzero(detect)
-        if nonzero.size == 0:
-            return None
-        word = int(nonzero[0])
-        bits = int(detect[word])
-        return word * WORD_BITS + ((bits & -bits).bit_length() - 1)
+        return detect & masks
+
+    @staticmethod
+    def _pick_mode(mode: str, n_patterns: int, n_faults: int) -> str:
+        if mode not in ("auto", "ppsfp", "single"):
+            raise ValueError(f"unknown fault-sim mode {mode!r}")
+        if mode != "auto":
+            return mode
+        use_ppsfp = n_patterns > WORD_BITS and n_faults >= PPSFP_MIN_FAULTS
+        return "ppsfp" if use_ppsfp else "single"
+
+    def _detect_words(
+        self, patterns: np.ndarray, faults: List[StuckAtFault], mode: str
+    ) -> np.ndarray:
+        """The ``(n_faults, n_words)`` detection matrix, no fault dropping."""
+        n_patterns = patterns.shape[0]
+        if mode == "ppsfp":
+            return ppsfp_detect_words(self._compiled, patterns, faults)
+        words = np.zeros((len(faults), -(-n_patterns // WORD_BITS)), dtype=np.uint64)
+        if n_patterns == 0 or not faults:
+            return words
+        if n_patterns <= WORD_BITS:
+            words[:, 0] = np.array(
+                self._single_word_masks(patterns, faults), dtype=np.uint64
+            )
+            return words
+        good = self._compiled.simulate_packed(pack_patterns(patterns))
+        masks = tail_mask(n_patterns)
+        scratch = good.copy()
+        for row, fault in enumerate(faults):
+            detect = self._cone_detect(fault, good, scratch, masks)
+            if detect is not None:
+                words[row] = detect
+        return words
 
     def run(
         self,
@@ -193,6 +222,7 @@ class FaultSimulator:
         faults: Iterable[StuckAtFault],
         drop_detected: bool = True,
         mode: str = "auto",
+        words: bool = False,
     ) -> FaultSimResult:
         """Simulate ``faults`` against ``patterns`` (rows of 0/1).
 
@@ -205,28 +235,40 @@ class FaultSimulator:
         (:mod:`repro.atpg.ppsfp`), and ``"auto"`` (default) picks PPSFP once
         the fault list is large enough to amortize the widened matrix.  All
         modes return bit-identical results.
+
+        ``words=True`` also fills ``result.words`` with the full detection
+        matrix, computed without fault dropping: row *i* belongs to the
+        *i*-th fault, and bit *p* of word ``p // 64`` is set iff pattern *p*
+        detects it (tail bits past the last pattern are zero).  Static
+        compaction reads every (fault, pattern) pair from this one sweep.
         """
-        if mode not in ("auto", "ppsfp", "single"):
-            raise ValueError(f"unknown fault-sim mode {mode!r}")
         remaining: List[StuckAtFault] = list(faults)
         result = FaultSimResult()
         patterns = np.atleast_2d(np.asarray(patterns))
         n_patterns = patterns.shape[0]
         result.patterns_applied = n_patterns
+        mode = self._pick_mode(mode, n_patterns, len(remaining))
+        if words:
+            result.words = self._detect_words(patterns, remaining, mode)
+            for row in np.flatnonzero(result.words.any(axis=1)):
+                first = _first_pattern(result.words[row])
+                result.detected.setdefault(remaining[row], first)
+            result.undetected = [f for f in remaining if f not in result.detected]
+            return result
         if n_patterns == 0 or not remaining:
             result.undetected = list(remaining)
             return result
-        if mode == "auto":
-            use_ppsfp = (
-                n_patterns > WORD_BITS and len(remaining) >= PPSFP_MIN_FAULTS
-            )
-            mode = "ppsfp" if use_ppsfp else "single"
         if mode == "ppsfp":
             result.detected = ppsfp_detections(self._compiled, patterns, remaining)
             result.undetected = [f for f in remaining if f not in result.detected]
             return result
         if n_patterns <= WORD_BITS:
-            return self._run_single_word(patterns, remaining, result)
+            masks = self._single_word_masks(patterns, remaining)
+            for fault, detect in zip(remaining, masks):
+                if detect:
+                    result.detected[fault] = (detect & -detect).bit_length() - 1
+            result.undetected = [f for f in remaining if f not in result.detected]
+            return result
         good = self._compiled.simulate_packed(pack_patterns(patterns))
         masks = tail_mask(n_patterns)
         if drop_detected:
@@ -248,7 +290,8 @@ class FaultSimulator:
         if remaining:
             scratch = good.copy()
             for fault in remaining:
-                first = self._first_detection(fault, good, scratch, masks)
+                detect = self._cone_detect(fault, good, scratch, masks)
+                first = None if detect is None else _first_pattern(detect)
                 if first is not None:
                     result.detected[fault] = first
         result.undetected = [f for f in remaining if f not in result.detected]

@@ -8,8 +8,12 @@ for the stuck-at testing model):
 2. **Deterministic phase** — PODEM on every remaining collapsed fault with a
    backtrack budget; each new vector is fault-simulated against all remaining
    faults so secondary detections are dropped.
-3. **Compaction** — reverse-order pass: a vector is kept only if removing it
-   would lose coverage (simple but effective static compaction).
+3. **Compaction** — one fault-sim sweep without fault dropping gives the
+   detection matrix of every (fault, pattern) pair.  A reverse-order pass
+   over it keeps a per-fault count of kept detecting patterns and drops a
+   pattern iff no fault it detects has a count of 1, i.e. iff removing it
+   loses no coverage (simple but effective static compaction).  The final
+   coverage is read off the same matrix, restricted to the kept patterns.
 
 The resulting :class:`TestSet` is the defender's TP set: its coverage holes
 (aborted + untestable faults) are exactly where Algorithm 1's removals and
@@ -19,11 +23,12 @@ Algorithm 2's trigger wiring must hide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
 from ..netlist.circuit import Circuit
+from ..sim.bitsim import unpack_patterns
 from .fault import StuckAtFault, collapse_faults, full_fault_list
 from .faultsim import FaultSimulator
 from .podem import PodemEngine, PodemStatus
@@ -165,14 +170,21 @@ def generate_test_set(
     )
 
     # ------------------------------------------------------------------
-    # Phase 3: reverse-order static compaction, then the pattern budget.
-    if config.compaction and patterns.shape[0] > 1:
-        patterns = _compact(simulator, patterns, target_faults)
-    if config.max_patterns is not None and patterns.shape[0] > config.max_patterns:
+    # Phase 3: one no-drop sweep for the detection matrix, reverse-order
+    # static compaction on it, then the pattern budget.  Without compaction
+    # the budget is a plain prefix cut, so it comes before the sweep.
+    compact = config.compaction and patterns.shape[0] > 1
+    if not compact and config.max_patterns is not None:
         patterns = patterns[: config.max_patterns]
-
-    final = simulator.run(patterns, target_faults) if patterns.size else None
-    covered = set(final.detected) if final else set()
+    covered: Set[StuckAtFault] = set()
+    if patterns.size:
+        words = simulator.run(patterns, target_faults, words=True).words
+        detects = unpack_patterns(words, patterns.shape[0]).astype(bool)
+        rows = _compact(detects) if compact else np.arange(patterns.shape[0])
+        rows = rows[: config.max_patterns]
+        patterns = patterns[rows]
+        hit = detects[rows].any(axis=0)
+        covered = {fault for fault, ok in zip(target_faults, hit) if ok}
     return TestSet(
         circuit_name=circuit.name,
         patterns=patterns,
@@ -185,21 +197,27 @@ def generate_test_set(
     )
 
 
-def _compact(
-    simulator: FaultSimulator,
-    patterns: np.ndarray,
-    faults: Sequence[StuckAtFault],
-) -> np.ndarray:
-    """Reverse-order static compaction: drop vectors that add no coverage."""
-    full = simulator.run(patterns, faults, drop_detected=True)
-    baseline = set(full.detected)
-    keep = np.ones(patterns.shape[0], dtype=bool)
-    for row in range(patterns.shape[0] - 1, -1, -1):
-        keep[row] = False
-        trial = simulator.run(patterns[keep], list(baseline), drop_detected=True)
-        if set(trial.detected) != baseline:
+def _compact(detects: np.ndarray) -> np.ndarray:
+    """Reverse-order static compaction: the rows worth keeping, ascending.
+
+    ``detects`` is the ``(n_patterns, n_faults)`` boolean detection matrix:
+    entry ``[p, f]`` says pattern *p* detects fault *f*.  Walking
+    the patterns from last to first, a pattern is dropped iff every fault it
+    detects is still detected by another kept pattern, i.e. no fault it
+    detects has a kept-detection count of 1.  That is exactly the decision
+    of re-simulating the kept set without the pattern and checking for lost
+    coverage, so the kept rows are the same, from one fault-sim sweep
+    instead of one per pattern.
+    """
+    count = detects.sum(axis=0)
+    keep = np.zeros(detects.shape[0], dtype=bool)
+    for row in range(detects.shape[0] - 1, -1, -1):
+        hit = detects[row]
+        if (count[hit] == 1).any():
             keep[row] = True
-    return patterns[keep]
+        else:
+            count[hit] -= 1
+    return np.flatnonzero(keep)
 
 
 def uncovered_faults(test_set: TestSet, faults: Sequence[StuckAtFault]) -> List[StuckAtFault]:

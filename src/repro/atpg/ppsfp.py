@@ -29,16 +29,20 @@ single levelized sweep:
    *b*'s cone has only good-valued inputs in slot *b*, so re-evaluating it
    reproduces the good value.
 4. **Reduce** — detection is one batched ``XOR`` of the PO rows against the
-   good values and one ``OR`` reduction over the PO axis; per fault, the
-   first set bit of its slice is the first detecting pattern — the same
-   quantity the single-fault path and :func:`reference_fault_sim` report,
-   bit-exactly (pinned by ``tests/test_ppsfp.py``).
+   good values and one ``OR`` reduction over the PO axis, giving each fault
+   its detect words for the chunk.
 
-Patterns are swept in geometrically growing word chunks (64 patterns, then
-128, 256, ...) with fault dropping at chunk granularity: easy faults cost
-one narrow sweep, survivors amortize the Python overhead over ever-wider
-matrices, and because chunks are scanned in pattern order the recorded
-index is still the *global* first detection.
+Two consumers share that sweep kernel.  :func:`ppsfp_detections` reduces a
+fault's words to its first set bit — the first detecting pattern, the same
+quantity the single-fault path and :func:`reference_fault_sim` report,
+bit-exactly (pinned by ``tests/test_ppsfp.py``).  It sweeps patterns in
+growing word chunks (64 patterns, then 256, then the budget width) with
+fault dropping at chunk granularity: easy faults cost one narrow sweep,
+survivors amortize the Python overhead over wider matrices, and because
+chunks are scanned in pattern order the recorded index is still the
+*global* first detection.  :func:`ppsfp_detect_words` keeps the words
+themselves, with no dropping: the full detection matrix that static
+compaction in :mod:`repro.atpg.generate` works from.
 """
 
 from __future__ import annotations
@@ -155,15 +159,18 @@ def _run_batch(
     plan: _BatchPlan,
     good: np.ndarray,
     masks,
-) -> Dict[int, int]:
+) -> Optional[np.ndarray]:
     """Propagate one fault batch against one pattern chunk.
 
     ``good`` is the chunk's settled ``(n_nets, w)`` matrix; ``masks`` is the
-    chunk's ``(w,)`` tail mask.  Returns slot -> first detecting pattern
-    *within the chunk*.
+    chunk's ``(w,)`` tail mask.  Returns the batch's ``(B, w)`` detect words
+    (bit *p* of slot *b* is set iff chunk pattern *p* detects fault *b*), or
+    ``None`` when no cone reaches a PO and no site is a PO.
     """
     n_words = good.shape[1]
     n_faults = len(plan.sites)
+    if not plan.po_rows.size:
+        return None
 
     # Widen: fault slot b owns columns [b*w, (b+1)*w).  Only the rows the
     # sweep touches get their good values replicated; the rest stay
@@ -180,15 +187,9 @@ def _run_batch(
         for row, slot in plan.forces[gpos]:
             values[row, slot * n_words : (slot + 1) * n_words] = plan.stuck[slot]
 
-    detected: Dict[int, int] = {}
-    if not plan.po_rows.size:
-        return detected  # no PO in any cone and no site is a PO: undetectable
     # One batched XOR + OR over the PO axis: (n_po, B, w) -> (B, w).
     diff = cube[plan.po_rows] ^ good[plan.po_rows][:, None, :]
-    detect = np.bitwise_or.reduce(diff, axis=0) & masks
-    for slot in np.flatnonzero(detect.any(axis=1)):
-        detected[int(slot)] = _first_pattern(detect[slot])
-    return detected
+    return np.bitwise_or.reduce(diff, axis=0) & masks
 
 
 def _chunk_widths(n_words: int, max_words: int) -> List[int]:
@@ -229,6 +230,67 @@ def _cone_signature(compiled: CompiledCircuit, site: int) -> Tuple[int, ...]:
     return signature
 
 
+def _good_and_excitable(
+    compiled: CompiledCircuit,
+    patterns: np.ndarray,
+    faults: Sequence[StuckAtFault],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Good matrix and tail mask of the whole pattern set, plus excitability.
+
+    One good-circuit pass covers every chunk (chunks are column views into
+    it).  A fault whose site never differs from its stuck value under any
+    pattern cannot be detected, so ``excitable[i]`` false lets it skip every
+    sweep.
+    """
+    masks_all = tail_mask(patterns.shape[0])
+    good_all = compiled.simulate_packed(pack_patterns(patterns))
+    sites = np.array([compiled.index[f.net] for f in faults], dtype=np.intp)
+    stuck = np.where(
+        np.array([f.value for f in faults], dtype=bool)[:, None],
+        ALL_ONES,
+        np.uint64(0),
+    )
+    excitable = ((good_all[sites] ^ stuck) & masks_all).any(axis=1)
+    return good_all, masks_all, excitable
+
+
+def _plan_batches(
+    compiled: CompiledCircuit, faults: Sequence[StuckAtFault], batch_size: int
+) -> List[Tuple[List[int], _BatchPlan]]:
+    """Split ``faults`` into sweep batches: (positions in ``faults``, plan).
+
+    Faults are batched in cone-signature order so overlapping cones share
+    adjacent slots (tight per-group slot ranges); plans are memoized per
+    compiled circuit.
+    """
+    order = sorted(
+        range(len(faults)),
+        key=lambda i: (
+            _cone_signature(compiled, compiled.index[faults[i].net]),
+            compiled.index[faults[i].net],
+            faults[i].value,
+        ),
+    )
+    cache = _plan_cache(compiled)
+    batches: List[Tuple[List[int], _BatchPlan]] = []
+    for start in range(0, len(order), batch_size):
+        positions = order[start : start + batch_size]
+        key = tuple((compiled.index[faults[i].net], faults[i].value) for i in positions)
+        plan = cache.get(key)
+        if plan is None:
+            plan = _build_plan(compiled, [faults[i] for i in positions])
+            if len(cache) >= _PLAN_CACHE_MAX:
+                cache.clear()
+            cache[key] = plan
+        batches.append((positions, plan))
+    return batches
+
+
+def _max_chunk_words(compiled: CompiledCircuit, batch_size: int) -> int:
+    """Widest pattern chunk (in words) whose widened matrix fits the budget."""
+    return max(1, MATRIX_BUDGET_BYTES // (max(compiled.n_nets, 1) * batch_size * 8))
+
+
 def ppsfp_detections(
     compiled: CompiledCircuit,
     patterns: np.ndarray,
@@ -244,37 +306,18 @@ def ppsfp_detections(
     """
     remaining: List[StuckAtFault] = list(faults)
     patterns = np.atleast_2d(np.asarray(patterns))
-    n_patterns = patterns.shape[0]
     detected: Dict[StuckAtFault, int] = {}
-    if n_patterns == 0 or not remaining:
+    if patterns.shape[0] == 0 or not remaining:
         return detected
     batch_size = max(1, min(int(batch_size), FAULT_BATCH))
-    packed = pack_patterns(patterns)
-    masks_all = tail_mask(n_patterns)
-    max_chunk = max(
-        1, MATRIX_BUDGET_BYTES // (max(compiled.n_nets, 1) * batch_size * 8)
-    )
-    # One good-circuit pass for the whole pattern set; chunks below are
-    # column views into it (no schedule re-runs per chunk).
-    good_all = compiled.simulate_packed(packed)
-    # Excitation prefilter: a fault whose site never differs from its stuck
-    # value under any pattern cannot be detected — skip its sweeps entirely.
-    sites_arr = np.array(
-        [compiled.index[f.net] for f in remaining], dtype=np.intp
-    )
-    stuck_col = np.where(
-        np.array([f.value for f in remaining], dtype=bool)[:, None],
-        ALL_ONES,
-        np.uint64(0),
-    )
-    excitable = ((good_all[sites_arr] ^ stuck_col) & masks_all).any(axis=1)
+    good_all, masks_all, excitable = _good_and_excitable(compiled, patterns, remaining)
     remaining = [f for f, ok in zip(remaining, excitable) if ok]
     if not remaining:
         return detected
     batches: List[Tuple[List[StuckAtFault], _BatchPlan]] = []
     swept = 0  # faults covered by the current batch plans
     word0 = 0
-    for width in _chunk_widths(masks_all.size, max_chunk):
+    for width in _chunk_widths(masks_all.size, _max_chunk_words(compiled, batch_size)):
         # Drop at chunk granularity: detected faults never re-enter.  Batch
         # plans are rebuilt only when enough faults dropped to pay for the
         # planning (always after the first chunk, which drops the easy
@@ -284,35 +327,54 @@ def ppsfp_detections(
         if not undetected:
             break
         if not batches or 4 * (swept - len(undetected)) >= swept:
+            # ``remaining`` keeps the caller's fault order for the
+            # undetected list; only the batches are signature-ordered.
             remaining = undetected
-            # Batch in cone-signature order so overlapping cones share
-            # adjacent slots (tight per-group slot ranges); ``remaining``
-            # keeps the caller's fault order for the undetected list.
-            ordered = sorted(
-                remaining,
-                key=lambda f: (
-                    _cone_signature(compiled, compiled.index[f.net]),
-                    compiled.index[f.net],
-                    f.value,
-                ),
-            )
-            batches = []
-            for start in range(0, len(ordered), batch_size):
-                batch = ordered[start : start + batch_size]
-                key = tuple((compiled.index[f.net], f.value) for f in batch)
-                plan = _plan_cache(compiled).get(key)
-                if plan is None:
-                    plan = _build_plan(compiled, batch)
-                    cache = _plan_cache(compiled)
-                    if len(cache) >= _PLAN_CACHE_MAX:
-                        cache.clear()
-                    cache[key] = plan
-                batches.append((batch, plan))
+            batches = [
+                ([remaining[i] for i in positions], plan)
+                for positions, plan in _plan_batches(compiled, remaining, batch_size)
+            ]
             swept = len(remaining)
         good = good_all[:, word0 : word0 + width]
         masks = masks_all[word0 : word0 + width]
         for batch, plan in batches:
-            for slot, first in _run_batch(compiled, plan, good, masks).items():
-                detected.setdefault(batch[slot], word0 * WORD_BITS + first)
+            detect = _run_batch(compiled, plan, good, masks)
+            if detect is None:
+                continue
+            for slot in np.flatnonzero(detect.any(axis=1)):
+                first = word0 * WORD_BITS + _first_pattern(detect[slot])
+                detected.setdefault(batch[slot], first)
         word0 += width
     return detected
+
+
+def ppsfp_detect_words(
+    compiled: CompiledCircuit,
+    patterns: np.ndarray,
+    faults: Iterable[StuckAtFault],
+) -> np.ndarray:
+    """The ``(n_faults, n_words)`` uint64 detection matrix, no fault dropping.
+
+    Row *i* belongs to the *i*-th fault: bit *p* of word ``p // 64`` is set
+    iff pattern *p* detects it, and the tail bits past the last pattern are
+    zero.  Same sweep kernel as :func:`ppsfp_detections`, but every fault is
+    judged against every pattern, so chunks run at the full budget width.
+    """
+    faults = list(faults)
+    patterns = np.atleast_2d(np.asarray(patterns))
+    n_patterns = patterns.shape[0]
+    words = np.zeros((len(faults), -(-n_patterns // WORD_BITS)), dtype=np.uint64)
+    if n_patterns == 0 or not faults:
+        return words
+    good_all, masks_all, excitable = _good_and_excitable(compiled, patterns, faults)
+    live = np.flatnonzero(excitable)
+    batches = _plan_batches(compiled, [faults[i] for i in live], FAULT_BATCH)
+    max_chunk = _max_chunk_words(compiled, FAULT_BATCH)
+    for word0 in range(0, masks_all.size, max_chunk):
+        good = good_all[:, word0 : word0 + max_chunk]
+        masks = masks_all[word0 : word0 + max_chunk]
+        for positions, plan in batches:
+            detect = _run_batch(compiled, plan, good, masks)
+            if detect is not None:
+                words[live[positions], word0 : word0 + masks.size] = detect
+    return words
