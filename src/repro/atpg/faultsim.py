@@ -150,25 +150,24 @@ class FaultSimulator:
             for fault in faults
         ]
 
-    def _cone_detect(
+    def _first_detection(
         self,
         fault: StuckAtFault,
         good: np.ndarray,
         scratch: np.ndarray,
         masks: np.ndarray,
-    ) -> Optional[np.ndarray]:
-        """Detect words of ``fault`` over the whole matrix, or ``None``.
+    ) -> Optional[int]:
+        """Index of the first pattern detecting ``fault``, or ``None``.
 
-        ``None`` means no pattern excites the fault.  ``scratch`` is a
-        working copy of ``good``; it is restored to the good values (cone
-        rows only) before returning.
+        ``scratch`` is a working copy of ``good``; it is restored to the good
+        values (cone rows only) before returning.
         """
         cc = self._compiled
         site = cc.index[fault.net]
         stuck = ALL_ONES if fault.value else np.uint64(0)
         excite = (good[site] ^ stuck) & masks
         if not excite.any():
-            return None
+            return None  # never excited by any pattern
         cone = cc.cone_schedule(fault.net)
         detect = np.zeros(good.shape[1], dtype=np.uint64)
         if cone.po_rows.size:
@@ -181,39 +180,25 @@ class FaultSimulator:
             scratch[site] = good[site]
         if cone.site_is_output:
             detect = detect | excite
-        return detect & masks
-
-    @staticmethod
-    def _pick_mode(mode: str, n_patterns: int, n_faults: int) -> str:
-        if mode not in ("auto", "ppsfp", "single"):
-            raise ValueError(f"unknown fault-sim mode {mode!r}")
-        if mode != "auto":
-            return mode
-        use_ppsfp = n_patterns > WORD_BITS and n_faults >= PPSFP_MIN_FAULTS
-        return "ppsfp" if use_ppsfp else "single"
+        detect = detect & masks
+        nonzero = np.flatnonzero(detect)
+        if nonzero.size == 0:
+            return None
+        word = int(nonzero[0])
+        bits = int(detect[word])
+        return word * WORD_BITS + ((bits & -bits).bit_length() - 1)
 
     def _detect_words(
-        self, patterns: np.ndarray, faults: List[StuckAtFault], mode: str
+        self, patterns: np.ndarray, faults: List[StuckAtFault]
     ) -> np.ndarray:
         """The ``(n_faults, n_words)`` detection matrix, no fault dropping."""
-        n_patterns = patterns.shape[0]
-        if mode == "ppsfp":
+        if patterns.shape[0] > WORD_BITS:
             return ppsfp_detect_words(self._compiled, patterns, faults)
-        words = np.zeros((len(faults), -(-n_patterns // WORD_BITS)), dtype=np.uint64)
-        if n_patterns == 0 or not faults:
-            return words
-        if n_patterns <= WORD_BITS:
+        words = np.zeros((len(faults), min(patterns.shape[0], 1)), dtype=np.uint64)
+        if words.size:
             words[:, 0] = np.array(
                 self._single_word_masks(patterns, faults), dtype=np.uint64
             )
-            return words
-        good = self._compiled.simulate_packed(pack_patterns(patterns))
-        masks = tail_mask(n_patterns)
-        scratch = good.copy()
-        for row, fault in enumerate(faults):
-            detect = self._cone_detect(fault, good, scratch, masks)
-            if detect is not None:
-                words[row] = detect
         return words
 
     def run(
@@ -241,15 +226,18 @@ class FaultSimulator:
         *i*-th fault, and bit *p* of word ``p // 64`` is set iff pattern *p*
         detects it (tail bits past the last pattern are zero).  Static
         compaction reads every (fault, pattern) pair from this one sweep.
+        The matrix has two producers, whatever ``mode`` says: the
+        single-word masks for at most 64 patterns, PPSFP above that.
         """
+        if mode not in ("auto", "ppsfp", "single"):
+            raise ValueError(f"unknown fault-sim mode {mode!r}")
         remaining: List[StuckAtFault] = list(faults)
         result = FaultSimResult()
         patterns = np.atleast_2d(np.asarray(patterns))
         n_patterns = patterns.shape[0]
         result.patterns_applied = n_patterns
-        mode = self._pick_mode(mode, n_patterns, len(remaining))
         if words:
-            result.words = self._detect_words(patterns, remaining, mode)
+            result.words = self._detect_words(patterns, remaining)
             for row in np.flatnonzero(result.words.any(axis=1)):
                 first = _first_pattern(result.words[row])
                 result.detected.setdefault(remaining[row], first)
@@ -258,6 +246,11 @@ class FaultSimulator:
         if n_patterns == 0 or not remaining:
             result.undetected = list(remaining)
             return result
+        if mode == "auto":
+            use_ppsfp = (
+                n_patterns > WORD_BITS and len(remaining) >= PPSFP_MIN_FAULTS
+            )
+            mode = "ppsfp" if use_ppsfp else "single"
         if mode == "ppsfp":
             result.detected = ppsfp_detections(self._compiled, patterns, remaining)
             result.undetected = [f for f in remaining if f not in result.detected]
@@ -290,8 +283,7 @@ class FaultSimulator:
         if remaining:
             scratch = good.copy()
             for fault in remaining:
-                detect = self._cone_detect(fault, good, scratch, masks)
-                first = None if detect is None else _first_pattern(detect)
+                first = self._first_detection(fault, good, scratch, masks)
                 if first is not None:
                     result.detected[fault] = first
         result.undetected = [f for f in remaining if f not in result.detected]

@@ -2,9 +2,9 @@
 
 ``FaultSimulator.run(..., words=True)`` returns, per fault, its uint64
 detect words over every pattern.  Bit *p* of fault *f* must be set iff
-pattern *p* alone detects *f* under :func:`reference_fault_sim`, on every
-engine path: the single-word masks (at most 64 patterns), the per-fault
-cone walk, and the PPSFP batch sweep.
+pattern *p* alone detects *f* under :func:`reference_fault_sim`, from
+both producers: the single-word masks (at most 64 patterns) and the PPSFP
+batch sweep (more than 64).  ``mode`` does not choose between them.
 
 Compaction in :func:`generate_test_set` reads that matrix once instead of
 re-simulating per pattern; :func:`oracles.reference_compact` is the old
@@ -89,30 +89,27 @@ def builder_circuits(draw):
 
 class TestDetectWords:
     @pytest.mark.parametrize("n_patterns", [1, 63, 64, 65, 128, 129])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_bits_match_reference_per_pattern(self, n_patterns, mode):
+    def test_bits_match_reference_per_pattern(self, n_patterns):
         circuit = c432_like()
         faults = collapse_faults(circuit)[::5]
         patterns = random_patterns(circuit, n_patterns, seed=n_patterns)
-        got = FaultSimulator(circuit).run(patterns, faults, mode=mode, words=True)
+        got = FaultSimulator(circuit).run(patterns, faults, words=True)
         assert got.words.shape == (len(faults), -(-n_patterns // WORD_BITS))
         assert got.words.dtype == np.uint64
         np.testing.assert_array_equal(got.words, oracle_words(circuit, patterns, faults))
 
     @pytest.mark.parametrize("n_patterns", [1, 63, 64, 65, 128, 129])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_tail_bits_past_last_pattern_are_zero(self, n_patterns, mode):
+    def test_tail_bits_past_last_pattern_are_zero(self, n_patterns):
         circuit = c17()
         faults = full_fault_list(circuit)
         patterns = random_patterns(circuit, n_patterns, seed=7)
-        words = FaultSimulator(circuit).run(patterns, faults, mode=mode, words=True).words
+        words = FaultSimulator(circuit).run(patterns, faults, words=True).words
         tail = n_patterns % WORD_BITS
         if tail:
             assert not (words[:, -1] >> np.uint64(tail)).any()
         assert words.any()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_po_sites_and_never_excited_faults(self, mode):
+    def test_po_sites_and_never_excited_faults(self):
         circuit = c17()
         # Every pattern drives N1 and N3 high, so N10 = NAND(N1, N3) is
         # constant 0: its stuck-at-0 is never excited.
@@ -122,7 +119,7 @@ class TestDetectWords:
         po_faults = [StuckAtFault(po, v) for po in circuit.outputs for v in (0, 1)]
         dormant = StuckAtFault("N10", 0)
         faults = po_faults + [dormant]
-        words = FaultSimulator(circuit).run(patterns, faults, mode=mode, words=True).words
+        words = FaultSimulator(circuit).run(patterns, faults, words=True).words
         np.testing.assert_array_equal(words, oracle_words(circuit, patterns, faults))
         assert not words[-1].any()
         # A PO-site fault is detected exactly where the good PO differs.
@@ -145,7 +142,7 @@ class TestDetectWords:
         faults = collapse_faults(circuit)
         patterns = random_patterns(circuit, 150, seed=5)
         sim = FaultSimulator(circuit)
-        with_words = sim.run(patterns, faults, mode=mode, words=True)
+        with_words = sim.run(patterns, faults, words=True)
         plain = sim.run(patterns, faults, mode=mode)
         assert with_words.detected == plain.detected
         assert with_words.undetected == plain.undetected
@@ -156,10 +153,8 @@ class TestDetectWords:
         faults = full_fault_list(circuit)
         patterns = random_patterns(circuit, n_patterns, seed)
         expected = oracle_words(circuit, patterns, faults)
-        sim = FaultSimulator(circuit)
-        for mode in MODES:
-            got = sim.run(patterns, faults, mode=mode, words=True).words
-            np.testing.assert_array_equal(got, expected)
+        got = FaultSimulator(circuit).run(patterns, faults, words=True).words
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestCompactionOracle:
