@@ -1,14 +1,15 @@
-"""PPSFP perf harness: batched fault sweep vs. per-fault compiled path.
+"""PPSFP perf harness: 64-fault batches vs. one-fault batches.
 
-Times ``FaultSimulator.run(mode="ppsfp")`` against ``mode="single"`` on the
-largest ISCAS-class circuits at benchmark scale (128 faults x 4096 patterns,
-``drop_detected=False`` so both engines sweep the full list) and merges a
-``ppsfp`` section into ``BENCH_perf.json``.  Bit-identity of the two modes is
-asserted in the same run — a speedup from a wrong answer is no speedup.
+Times ``ppsfp_detections`` at its default batch width against
+``batch_size=1`` — the same kernel sweeping one fault at a time — on the
+largest ISCAS-class circuits at benchmark scale (128 faults x 4096
+patterns) and merges a ``ppsfp`` section into ``BENCH_perf.json``.  The two
+must be bit-identical and both must match ``reference_fault_sim``, asserted
+in the same run — a speedup from a wrong answer is no speedup.
 
 The floors are loud-regression tripwires, set well below the observed
-speedups (c3540 ~3.7x, c6288 ~18x): they catch PPSFP silently degrading to
-per-fault behaviour, not machine-to-machine variance.
+speedups (c3540 ~3-9x, c6288 ~8-12x): they catch fault batching silently
+degrading to per-fault behaviour, not machine-to-machine variance.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.atpg import FaultSimulator, full_fault_list
+from repro.atpg import full_fault_list
+from repro.atpg.faultsim import reference_fault_sim
+from repro.atpg.ppsfp import ppsfp_detections
 from repro.bench import c3540_like
 from repro.bench.iscas_extra import c6288_like
+from repro.sim.compiled import compile_circuit
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _OUT_PATH = _REPO_ROOT / "BENCH_perf.json"
@@ -47,16 +51,22 @@ CIRCUITS = {
     "c6288": c6288_like,
 }
 
-#: Loud-regression floor on the batch-vs-single speedup, per circuit.
+#: Loud-regression floor on the batched-vs-one-fault speedup, per circuit.
 MIN_SPEEDUP = 2.0
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
+def _best_of_interleaved(fns, repeats: int):
+    """Best-of-``repeats`` wall time per function, runs alternating.
+
+    Alternating keeps a burst of load on a shared machine from landing on
+    one side of the ratio only.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -67,32 +77,33 @@ def _bench_ppsfp(name, build, rng):
     chosen = rng.choice(len(faults), N_FAULTS, replace=False)
     faults = [faults[i] for i in chosen]
 
-    sim = FaultSimulator(circuit)
-    # Warm both paths: cone schedules, batch plans, signature caches.
-    single = sim.run(patterns, faults, drop_detected=False, mode="single")
-    batched = sim.run(patterns, faults, drop_detected=False, mode="ppsfp")
-    assert batched.detected == single.detected, (
-        f"{name}: PPSFP diverged from the per-fault path"
-    )
+    compiled = compile_circuit(circuit)
 
-    t_single = _best_of(
-        lambda: sim.run(patterns, faults, drop_detected=False, mode="single"), REPEATS
-    )
-    t_ppsfp = _best_of(
-        lambda: sim.run(patterns, faults, drop_detected=False, mode="ppsfp"), REPEATS
-    )
+    def one_fault():
+        return ppsfp_detections(compiled, patterns, faults, batch_size=1)
+
+    def batched():
+        return ppsfp_detections(compiled, patterns, faults)
+
+    # Warm both: cone rows, batch plans, signature caches.
+    want = reference_fault_sim(circuit, patterns, faults).detected
+    assert one_fault() == want, f"{name}: one-fault batches diverged from the oracle"
+    detected = batched()
+    assert detected == want, f"{name}: 64-fault batches diverged from the oracle"
+
+    t_one, t_ppsfp = _best_of_interleaved((one_fault, batched), REPEATS)
 
     work = len(faults) * N_PATTERNS
     return {
         "gates": circuit.num_logic_gates,
         "n_patterns": N_PATTERNS,
         "n_faults": len(faults),
-        "detected": len(batched.detected),
-        "single_s": t_single,
+        "detected": len(detected),
+        "one_fault_s": t_one,
         "ppsfp_s": t_ppsfp,
-        "single_fault_patterns_per_s": work / t_single,
+        "one_fault_fault_patterns_per_s": work / t_one,
         "ppsfp_fault_patterns_per_s": work / t_ppsfp,
-        "speedup": t_single / t_ppsfp,
+        "speedup": t_one / t_ppsfp,
     }
 
 
@@ -103,7 +114,7 @@ def test_ppsfp_batch_throughput():
     }
     _update_report("ppsfp", {
         "workload": f"{N_FAULTS} faults x {N_PATTERNS} patterns, "
-        "drop_detected=False (full sweep)",
+        "batch_size=64 vs. batch_size=1",
         "units": "fault-patterns per second",
         "circuits": results,
     })

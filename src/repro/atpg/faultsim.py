@@ -1,16 +1,22 @@
-"""Bit-parallel single-stuck-at fault simulation with fault dropping.
+"""Bit-parallel single-stuck-at fault simulation.
 
-The production path runs on the compiled levelized engine of
-:mod:`repro.sim.compiled`: the good circuit is simulated once for the whole
-pattern set as a ``(n_nets, n_words)`` uint64 matrix, and each fault is
-injected by forcing its row to the stuck value and re-evaluating only the
-precomputed fanout-cone sub-schedule.  Detection is the OR over the cone's
-primary-output rows of ``faulty XOR good``, so all patterns are judged in one
-shot per fault (no per-64-pattern blocking, no Python-int bit twiddling).
+:class:`FaultSimulator` runs on the compiled levelized engine of
+:mod:`repro.sim.compiled` and picks its engine from the pattern count alone:
 
-This powers (a) the ATPG outer loop (drop every fault a fresh PODEM vector
-detects), (b) coverage reporting, and (c) the reproduction's analysis of
-*which* stuck-at faults the defender's TP set leaves uncovered — the holes
+* **at most 64 patterns** — the good circuit is simulated once into one
+  word per net, and each fault walks its precomputed fanout-cone row list
+  with Python-int word ops, stopping wherever the effect is masked.  This
+  is the shape of the ATPG random blocks and of PODEM's cross-drop (one
+  vector against every remaining fault), where per-gate int ops beat
+  per-group numpy dispatch.
+* **more than 64 patterns** — PPSFP (:mod:`repro.atpg.ppsfp`) packs up to 64
+  faults into one widened matrix and propagates them in one levelized
+  sweep; a single fault is the degenerate one-slot batch.
+
+Both report, per fault, the globally first detecting pattern.  This powers
+(a) the ATPG outer loop (drop every fault a fresh PODEM vector detects),
+(b) coverage reporting, and (c) the reproduction's analysis of *which*
+stuck-at faults the defender's TP set leaves uncovered — the holes
 TrojanZero's removals hide in.  ``run(..., words=True)`` also returns the
 full no-drop detection matrix (every fault against every pattern), which
 the ATPG flow's static compaction reads in place of per-pattern re-runs.
@@ -29,14 +35,10 @@ import numpy as np
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gate import GateType
-from ..sim.bitsim import ALL_ONES, FULL_MASK, WORD_BITS, pack_patterns, tail_mask
+from ..sim.bitsim import WORD_BITS, pack_patterns
 from ..sim.compiled import CompiledCircuit, compile_circuit
 from .fault import StuckAtFault
 from .ppsfp import _first_pattern, ppsfp_detect_words, ppsfp_detections
-
-#: ``mode="auto"`` switches to PPSFP at this many faults (and > 64 patterns):
-#: below it, the pre-drop word walk wins on constant factors.
-PPSFP_MIN_FAULTS = 16
 
 
 def _blocks(patterns: np.ndarray, inputs: Sequence[str]) -> Iterable[Tuple[Dict[str, int], int, int]]:
@@ -150,44 +152,6 @@ class FaultSimulator:
             for fault in faults
         ]
 
-    def _first_detection(
-        self,
-        fault: StuckAtFault,
-        good: np.ndarray,
-        scratch: np.ndarray,
-        masks: np.ndarray,
-    ) -> Optional[int]:
-        """Index of the first pattern detecting ``fault``, or ``None``.
-
-        ``scratch`` is a working copy of ``good``; it is restored to the good
-        values (cone rows only) before returning.
-        """
-        cc = self._compiled
-        site = cc.index[fault.net]
-        stuck = ALL_ONES if fault.value else np.uint64(0)
-        excite = (good[site] ^ stuck) & masks
-        if not excite.any():
-            return None  # never excited by any pattern
-        cone = cc.cone_schedule(fault.net)
-        detect = np.zeros(good.shape[1], dtype=np.uint64)
-        if cone.po_rows.size:
-            scratch[site] = stuck
-            cc.run_cone(cone, scratch)
-            detect = np.bitwise_or.reduce(
-                scratch[cone.po_rows] ^ good[cone.po_rows], axis=0
-            )
-            scratch[cone.rows] = good[cone.rows]
-            scratch[site] = good[site]
-        if cone.site_is_output:
-            detect = detect | excite
-        detect = detect & masks
-        nonzero = np.flatnonzero(detect)
-        if nonzero.size == 0:
-            return None
-        word = int(nonzero[0])
-        bits = int(detect[word])
-        return word * WORD_BITS + ((bits & -bits).bit_length() - 1)
-
     def _detect_words(
         self, patterns: np.ndarray, faults: List[StuckAtFault]
     ) -> np.ndarray:
@@ -201,92 +165,68 @@ class FaultSimulator:
             )
         return words
 
+    def _detections(
+        self, patterns: np.ndarray, faults: List[StuckAtFault]
+    ) -> Dict[StuckAtFault, int]:
+        """Fault -> first detecting pattern, engine chosen by pattern count."""
+        if patterns.shape[0] > WORD_BITS:
+            return ppsfp_detections(self._compiled, patterns, faults)
+        detected: Dict[StuckAtFault, int] = {}
+        if patterns.shape[0] and faults:
+            for fault, detect in zip(faults, self._single_word_masks(patterns, faults)):
+                if detect:
+                    detected[fault] = (detect & -detect).bit_length() - 1
+        return detected
+
     def run(
         self,
         patterns: np.ndarray,
         faults: Iterable[StuckAtFault],
-        drop_detected: bool = True,
-        mode: str = "auto",
         words: bool = False,
     ) -> FaultSimResult:
         """Simulate ``faults`` against ``patterns`` (rows of 0/1).
 
-        ``drop_detected`` is kept for API compatibility; the matrix engine
-        judges every fault against the whole pattern set in one pass, so the
-        reported detection index is always the *first* detecting pattern.
-
-        ``mode`` selects the engine: ``"single"`` is the per-fault cone
-        path, ``"ppsfp"`` batches up to 64 faults per levelized sweep
-        (:mod:`repro.atpg.ppsfp`), and ``"auto"`` (default) picks PPSFP once
-        the fault list is large enough to amortize the widened matrix.  All
-        modes return bit-identical results.
+        Every fault is judged against the whole pattern set, and the
+        reported detection index is the *first* detecting pattern.  The
+        pattern count alone picks the engine: at most 64 patterns run the
+        Python-int single-word cone walk (the random blocks and PODEM's
+        cross-drop), more run PPSFP (:mod:`repro.atpg.ppsfp`).
 
         ``words=True`` also fills ``result.words`` with the full detection
         matrix, computed without fault dropping: row *i* belongs to the
         *i*-th fault, and bit *p* of word ``p // 64`` is set iff pattern *p*
         detects it (tail bits past the last pattern are zero).  Static
         compaction reads every (fault, pattern) pair from this one sweep.
-        The matrix has two producers, whatever ``mode`` says: the
-        single-word masks for at most 64 patterns, PPSFP above that.
+
+        Raises ``ValueError`` when the pattern width is not the circuit's
+        input count and :class:`NetlistError` for a fault on an unknown net.
         """
-        if mode not in ("auto", "ppsfp", "single"):
-            raise ValueError(f"unknown fault-sim mode {mode!r}")
-        remaining: List[StuckAtFault] = list(faults)
-        result = FaultSimResult()
+        faults = list(faults)
         patterns = np.atleast_2d(np.asarray(patterns))
-        n_patterns = patterns.shape[0]
-        result.patterns_applied = n_patterns
-        if words:
-            result.words = self._detect_words(patterns, remaining)
-            for row in np.flatnonzero(result.words.any(axis=1)):
-                first = _first_pattern(result.words[row])
-                result.detected.setdefault(remaining[row], first)
-            result.undetected = [f for f in remaining if f not in result.detected]
-            return result
-        if n_patterns == 0 or not remaining:
-            result.undetected = list(remaining)
-            return result
-        if mode == "auto":
-            use_ppsfp = (
-                n_patterns > WORD_BITS and len(remaining) >= PPSFP_MIN_FAULTS
+        n_inputs = len(self.circuit.inputs)
+        if patterns.shape[1] != n_inputs:
+            raise ValueError(
+                f"expected {n_inputs} input columns, got {patterns.shape[1]}"
             )
-            mode = "ppsfp" if use_ppsfp else "single"
-        if mode == "ppsfp":
-            result.detected = ppsfp_detections(self._compiled, patterns, remaining)
-            result.undetected = [f for f in remaining if f not in result.detected]
-            return result
-        if n_patterns <= WORD_BITS:
-            masks = self._single_word_masks(patterns, remaining)
-            for fault, detect in zip(remaining, masks):
-                if detect:
-                    result.detected[fault] = (detect & -detect).bit_length() - 1
-            result.undetected = [f for f in remaining if f not in result.detected]
-            return result
-        good = self._compiled.simulate_packed(pack_patterns(patterns))
-        masks = tail_mask(n_patterns)
-        if drop_detected:
-            # Pre-drop pass: most faults fall to the first 64 patterns, and the
-            # Python-int cone walk on one word is far cheaper than a
-            # whole-matrix cone evaluation.  Survivors pay the matrix cost.
-            first_col: List[int] = good[:, 0].tolist()
-            survivors: List[StuckAtFault] = []
-            for fault in remaining:
-                site = self._compiled.index[fault.net]
-                detect = self._detect_mask_single_word(
-                    site, FULL_MASK if fault.value else 0, first_col, FULL_MASK
-                )
-                if detect:
-                    result.detected[fault] = (detect & -detect).bit_length() - 1
-                else:
-                    survivors.append(fault)
-            remaining = survivors
-        if remaining:
-            scratch = good.copy()
-            for fault in remaining:
-                first = self._first_detection(fault, good, scratch, masks)
-                if first is not None:
-                    result.detected[fault] = first
-        result.undetected = [f for f in remaining if f not in result.detected]
+        result = FaultSimResult(patterns_applied=patterns.shape[0])
+        try:
+            if words:
+                result.words = self._detect_words(patterns, faults)
+                for row in np.flatnonzero(result.words.any(axis=1)):
+                    first = _first_pattern(result.words[row])
+                    result.detected.setdefault(faults[row], first)
+            else:
+                result.detected = self._detections(patterns, faults)
+        except KeyError:
+            # Looked up only on failure, so the hot path pays nothing.
+            index = self._compiled.index
+            unknown = next((f.net for f in faults if f.net not in index), None)
+            if unknown is None:
+                raise
+            raise NetlistError(
+                f"fault site {unknown!r} is not a net of {self.circuit.name!r}"
+            ) from None
+        result.undetected = [f for f in faults if f not in result.detected]
         return result
 
     def detects(self, pattern: np.ndarray, fault: StuckAtFault) -> bool:

@@ -1,11 +1,10 @@
 """PPSFP — parallel-pattern, parallel-fault stuck-at simulation.
 
-The single-fault matrix path of :class:`repro.atpg.faultsim.FaultSimulator`
-pays one Python-level cone re-evaluation per fault: force the site row,
-re-run the fanout-cone sub-schedule, XOR the PO rows.  For a fault list of
-hundreds (the ATPG drop-loop, coverage-holes analysis, MERO sampling,
-detector calibration) that per-fault Python dispatch is the dominant cost —
-the numpy work per cone is tiny, the per-fault loop is not.
+This is the engine :class:`repro.atpg.faultsim.FaultSimulator` runs for
+more than 64 patterns.  Simulating one fault at a time pays one
+Python-level cone re-evaluation per fault; for a fault list of hundreds
+(coverage-holes analysis, the defender's detection matrix) that per-fault
+dispatch, not the numpy work inside each cone, is the dominant cost.
 
 This module packs up to :data:`FAULT_BATCH` faults into extra uint64
 word-columns of *one* widened value matrix and propagates all of them in a
@@ -34,15 +33,16 @@ single levelized sweep:
 
 Two consumers share that sweep kernel.  :func:`ppsfp_detections` reduces a
 fault's words to its first set bit — the first detecting pattern, the same
-quantity the single-fault path and :func:`reference_fault_sim` report,
+quantity the single-word walk and :func:`reference_fault_sim` report,
 bit-exactly (pinned by ``tests/test_ppsfp.py``).  It sweeps patterns in
 growing word chunks (64 patterns, then 256, then the budget width) with
 fault dropping at chunk granularity: easy faults cost one narrow sweep,
 survivors amortize the Python overhead over wider matrices, and because
 chunks are scanned in pattern order the recorded index is still the
-*global* first detection.  :func:`ppsfp_detect_words` keeps the words
-themselves, with no dropping: the full detection matrix that static
-compaction in :mod:`repro.atpg.generate` works from.
+*global* first detection.  ``batch_size=1`` is the degenerate
+one-fault-per-sweep form of the same kernel.  :func:`ppsfp_detect_words`
+keeps the words themselves, with no dropping: the full detection matrix
+that static compaction in :mod:`repro.atpg.generate` works from.
 """
 
 from __future__ import annotations
@@ -299,8 +299,8 @@ def ppsfp_detections(
 ) -> Dict[StuckAtFault, int]:
     """Fault -> first detecting pattern index, PPSFP-batched.
 
-    Bit-exact with the single-fault matrix path and
-    :func:`repro.atpg.faultsim.reference_fault_sim`: every fault is judged
+    Bit-exact with :func:`repro.atpg.faultsim.reference_fault_sim` at every
+    ``batch_size`` (1 sweeps one fault at a time): every fault is judged
     against the pattern set in order, and the reported index is the globally
     first detecting pattern.
     """

@@ -30,13 +30,15 @@ and builds:
 
 Fault-simulation support
 ------------------------
-:meth:`CompiledCircuit.cone_schedule` extracts, per fault site, the sub-set of
-groups restricted to the site's fanout cone (plus the row list to restore and
-the primary-output rows to compare).  Injecting a stuck-at fault is then:
-force the site row, re-evaluate only the cone groups, XOR the cone's output
-rows against the good matrix.  Cone schedules are cached on the compiled
-circuit, so every :class:`~repro.atpg.faultsim.FaultSimulator` built for the
-same (unmutated) circuit shares them.
+:meth:`CompiledCircuit.cone_rows_at` gives, per fault site, the
+topologically sorted rows of its fanout cone, walked over a CSR fanout
+adjacency the compiled form owns.  The single-word fault walk of
+:class:`~repro.atpg.faultsim.FaultSimulator` evaluates those rows one gate
+at a time; PPSFP (:mod:`repro.atpg.ppsfp`) asks
+:meth:`CompiledCircuit.batch_cone_schedule` for the group schedule
+restricted to the union of a fault batch's cones and sweeps it once.  Cone
+rows and per-site group positions are cached on the compiled circuit, so
+every simulator built for the same (unmutated) circuit shares them.
 
 Sequential schedule
 -------------------
@@ -135,22 +137,6 @@ class GateGroup:
     out_idx: np.ndarray
     in_idx: np.ndarray
     out: object
-
-
-@dataclass(frozen=True)
-class ConeSchedule:
-    """Fanout-cone sub-schedule for one fault site.
-
-    ``rows`` lists every row the cone groups write (for cheap restore);
-    ``po_rows`` lists the primary-output rows inside the cone (the detection
-    frontier), excluding the site itself.
-    """
-
-    site: int
-    groups: Tuple[GateGroup, ...]
-    rows: np.ndarray
-    po_rows: np.ndarray
-    site_is_output: bool
 
 
 def _build_row_adjacency(
@@ -338,7 +324,6 @@ class CompiledCircuit:
         self._edge_starts, self._edge_dst = _build_row_adjacency(
             self.n_nets, self.schedule
         )
-        self._cone_cache: Dict[int, ConeSchedule] = {}
         self._cone_rows_cache: Dict[int, List[int]] = {}
         self._fire_cache: Dict[Tuple[int, ...], Optional[Tuple[GateGroup, ...]]] = {}
         self._row_sched_pos: Optional[np.ndarray] = None
@@ -434,12 +419,12 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # fault-cone sub-schedules
     # ------------------------------------------------------------------
-    def cone_rows(self, net: str) -> List[int]:
-        """Topologically-sorted row indices of ``net``'s fanout cone (exclusive)."""
-        return self.cone_rows_at(self.index[net])
-
     def cone_rows_at(self, site: int) -> List[int]:
-        """Row-keyed variant of :meth:`cone_rows` (hot in fault simulation)."""
+        """Topologically-sorted rows of row ``site``'s fanout cone (exclusive).
+
+        Cached per site; the single-word fault walk, PPSFP batch planning and
+        the sequential ripple schedule all read it.
+        """
         cached = self._cone_rows_cache.get(site)
         if cached is None:
             starts, dst = self._edge_starts, self._edge_dst
@@ -524,30 +509,6 @@ class CompiledCircuit:
             if len(self._fire_cache) < _FIRE_CACHE_MAX:
                 self._fire_cache[fired] = cached
         return cached
-
-    def cone_schedule(self, net: str) -> ConeSchedule:
-        """Cached fanout-cone sub-schedule for one fault site."""
-        site = self.index[net]
-        cached = self._cone_cache.get(site)
-        if cached is None:
-            rows = self.cone_rows(net)
-            cached = ConeSchedule(
-                site=site,
-                groups=self._subschedule_for_rows(rows),
-                rows=np.array(rows, dtype=np.intp),
-                po_rows=np.array(
-                    [i for i in rows if i in self.po_set], dtype=np.intp
-                ),
-                site_is_output=site in self.po_set,
-            )
-            self._cone_cache[site] = cached
-        return cached
-
-    def run_cone(self, cone: ConeSchedule, values: np.ndarray) -> np.ndarray:
-        """Re-evaluate only the cone's groups in place (site row pre-forced)."""
-        for group in cone.groups:
-            _evaluate_group(group, values)
-        return values
 
     def batch_cone_schedule(
         self, sites: Sequence[int]
@@ -737,7 +698,6 @@ def _build_patched(
         ).astype(np.intp)
     else:
         comp._edge_starts, comp._edge_dst = parent._edge_starts, parent._edge_dst
-    comp._cone_cache = {}
     comp._cone_rows_cache = {}
     comp._fire_cache = {}
     comp._row_sched_pos = None

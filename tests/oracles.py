@@ -20,12 +20,12 @@ def reference_compact(
     removal, so it costs O(n_patterns) sweeps.  The production pass in
     :mod:`repro.atpg.generate` must keep exactly the same rows.
     """
-    full = simulator.run(patterns, faults, drop_detected=True)
+    full = simulator.run(patterns, faults)
     baseline = set(full.detected)
     keep = np.ones(patterns.shape[0], dtype=bool)
     for row in range(patterns.shape[0] - 1, -1, -1):
         keep[row] = False
-        trial = simulator.run(patterns[keep], list(baseline), drop_detected=True)
+        trial = simulator.run(patterns[keep], list(baseline))
         if set(trial.detected) != baseline:
             keep[row] = True
     return patterns[keep]

@@ -83,7 +83,7 @@ class TestCollapse:
         raw = full_fault_list(c17_circuit)
         pats = (rng.random((20, 5)) < 0.5).astype(np.uint8)
         sim = FaultSimulator(c17_circuit)
-        detected_raw = set(sim.run(pats, raw, drop_detected=False).detected)
+        detected_raw = set(sim.run(pats, raw).detected)
         for fault in raw:
             rep = representative_of(c17_circuit, fault, collapsed)
             if rep is None:

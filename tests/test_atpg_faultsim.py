@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.atpg import FaultSimulator, StuckAtFault, fault_coverage, full_fault_list
-from repro.netlist import Circuit, GateType, tie_net_to_constant
+from repro.netlist import Circuit, GateType, NetlistError, tie_net_to_constant
 from repro.sim import BitSimulator, exhaustive_patterns
 
 
@@ -34,7 +34,7 @@ class TestAgainstBruteForce:
         faults = full_fault_list(c17_circuit)
         pats = exhaustive_patterns(5)
         sim = FaultSimulator(c17_circuit)
-        outcome = sim.run(pats, faults, drop_detected=False)
+        outcome = sim.run(pats, faults)
         for fault in faults:
             expected = any(
                 brute_force_detects(c17_circuit, pats[k], fault)
@@ -54,14 +54,6 @@ class TestAgainstBruteForce:
 
 
 class TestFaultDropping:
-    def test_dropping_stops_resimulation(self, c17_circuit):
-        faults = full_fault_list(c17_circuit)
-        pats = exhaustive_patterns(5)
-        sim = FaultSimulator(c17_circuit)
-        dropped = sim.run(pats, faults, drop_detected=True)
-        kept = sim.run(pats, faults, drop_detected=False)
-        assert set(dropped.detected) == set(kept.detected)
-
     def test_coverage_metric(self, c17_circuit):
         pats = exhaustive_patterns(5)
         cov = fault_coverage(c17_circuit, pats, full_fault_list(c17_circuit))
@@ -94,7 +86,33 @@ class TestConeRestriction:
         faults = full_fault_list(c432_circuit)[:60]
         pats = (rng.random((130, 32)) < 0.5).astype(np.uint8)
         sim = FaultSimulator(c432_circuit)
-        whole = set(sim.run(pats, faults, drop_detected=False).detected)
-        first = set(sim.run(pats[:64], faults, drop_detected=False).detected)
-        second = set(sim.run(pats[64:], faults, drop_detected=False).detected)
+        whole = set(sim.run(pats, faults).detected)
+        first = set(sim.run(pats[:64], faults).detected)
+        second = set(sim.run(pats[64:], faults).detected)
         assert whole == first | second
+
+
+# One shape per dispatch branch: the single-word walk and PPSFP, each with
+# and without the no-drop detection matrix.
+_SHAPES = pytest.mark.parametrize(
+    "n_patterns, words",
+    [(3, False), (3, True), (70, False), (70, True)],
+    ids=["single-word", "single-word-words", "ppsfp", "ppsfp-words"],
+)
+
+
+class TestTypedInputErrors:
+    @_SHAPES
+    def test_wrong_pattern_width(self, c17_circuit, n_patterns, words):
+        sim = FaultSimulator(c17_circuit)
+        pats = np.zeros((n_patterns, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="expected 5 input columns, got 4"):
+            sim.run(pats, full_fault_list(c17_circuit), words=words)
+
+    @_SHAPES
+    def test_unknown_fault_site(self, c17_circuit, n_patterns, words):
+        sim = FaultSimulator(c17_circuit)
+        pats = np.zeros((n_patterns, 5), dtype=np.uint8)
+        faults = full_fault_list(c17_circuit) + [StuckAtFault("nope", 0)]
+        with pytest.raises(NetlistError, match="'nope'"):
+            sim.run(pats, faults, words=words)

@@ -4,7 +4,7 @@
 detect words over every pattern.  Bit *p* of fault *f* must be set iff
 pattern *p* alone detects *f* under :func:`reference_fault_sim`, from
 both producers: the single-word masks (at most 64 patterns) and the PPSFP
-batch sweep (more than 64).  ``mode`` does not choose between them.
+batch sweep (more than 64).
 
 Compaction in :func:`generate_test_set` reads that matrix once instead of
 re-simulating per pattern; :func:`oracles.reference_compact` is the old
@@ -34,8 +34,6 @@ from repro.bench.generators import Builder, declare_inputs
 from repro.netlist import Circuit
 from repro.sim import BitSimulator
 from repro.sim.bitsim import WORD_BITS, unpack_patterns
-
-MODES = ("auto", "single", "ppsfp")
 
 _SETTINGS = settings(
     max_examples=25,
@@ -136,14 +134,14 @@ class TestDetectWords:
         words = FaultSimulator(circuit).run(patterns, faults + faults, words=True).words
         np.testing.assert_array_equal(words[:40], words[40:])
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_detected_matches_dropping_run(self, mode):
+    @pytest.mark.parametrize("n_patterns", [64, 150])
+    def test_detected_matches_dropping_run(self, n_patterns):
         circuit = c432_like()
         faults = collapse_faults(circuit)
-        patterns = random_patterns(circuit, 150, seed=5)
+        patterns = random_patterns(circuit, n_patterns, seed=5)
         sim = FaultSimulator(circuit)
         with_words = sim.run(patterns, faults, words=True)
-        plain = sim.run(patterns, faults, mode=mode)
+        plain = sim.run(patterns, faults)
         assert with_words.detected == plain.detected
         assert with_words.undetected == plain.undetected
 

@@ -1,12 +1,10 @@
 """Differential tests pinning the PPSFP engine bit-exactly.
 
-Three implementations must agree fault-for-fault, index-for-index:
-
-* ``reference_fault_sim`` — the retained per-gate/Python-int oracle,
-* ``FaultSimulator.run(mode="single")`` — the compiled per-fault cone path,
-* ``FaultSimulator.run(mode="ppsfp")`` — the parallel-pattern parallel-fault
-  engine (``repro.atpg.ppsfp``), which packs up to 64 faults into extra
-  word-column slices of one widened matrix.
+``FaultSimulator.run`` must agree fault-for-fault, index-for-index with
+``reference_fault_sim``, the retained per-gate/Python-int oracle.  ``run``
+sends at most 64 patterns to the single-word cone walk and more to the
+parallel-pattern parallel-fault engine (``repro.atpg.ppsfp``), which packs
+up to 64 faults into extra word-column slices of one widened matrix.
 
 The suite sweeps seeded random circuits, fault-batch sizes on both sides of
 the 64-slot word boundary (1, 7, 64, 100+), and pattern counts on both sides
@@ -20,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.atpg import FaultSimulator, StuckAtFault, full_fault_list
-from repro.atpg.faultsim import PPSFP_MIN_FAULTS, reference_fault_sim
+from repro.atpg.faultsim import reference_fault_sim
 from repro.atpg.ppsfp import FAULT_BATCH, ppsfp_detections
 from repro.bench import c17, c432_like, c880_like
 from repro.netlist import Circuit, GateType
@@ -80,15 +78,11 @@ def _sample_faults(circuit: Circuit, n: int, seed: int):
 
 
 def _assert_same_outcome(circuit, patterns, faults, drop_detected=True):
-    """All three engines agree on detections AND first-pattern indices."""
-    sim = FaultSimulator(circuit)
+    """``run`` and the oracle agree on detections AND first-pattern indices."""
     want = reference_fault_sim(circuit, patterns, faults, drop_detected=drop_detected)
-    single = sim.run(patterns, faults, drop_detected=drop_detected, mode="single")
-    ppsfp = sim.run(patterns, faults, drop_detected=drop_detected, mode="ppsfp")
-    assert single.detected == want.detected
-    assert ppsfp.detected == want.detected
-    assert single.undetected == want.undetected
-    assert ppsfp.undetected == want.undetected
+    got = FaultSimulator(circuit).run(patterns, faults)
+    assert got.detected == want.detected
+    assert got.undetected == want.undetected
 
 
 class TestRandomCircuitDifferential:
@@ -151,16 +145,26 @@ class TestIscasDifferential:
         _assert_same_outcome(circuit, patterns, faults, drop_detected=False)
 
 
-class TestModeDispatch:
-    def test_invalid_mode_rejected(self):
-        sim = FaultSimulator(c17())
-        with pytest.raises(ValueError, match="mode"):
-            sim.run(np.zeros((2, 5), dtype=np.uint8), [], mode="turbo")
-
-    def test_auto_uses_ppsfp_for_large_runs(self, monkeypatch):
+class TestSizeDispatch:
+    def test_small_runs_stay_single_word(self, monkeypatch):
         circuit = c880_like()
-        patterns = _patterns(circuit, 2 * WORD_BITS, 0)
-        faults = _sample_faults(circuit, max(PPSFP_MIN_FAULTS, 32), 0)
+        patterns = _patterns(circuit, WORD_BITS, 0)  # one word: single path
+        faults = _sample_faults(circuit, 2 * FAULT_BATCH, 0)
+        import repro.atpg.faultsim as fs
+
+        for name in ("ppsfp_detections", "ppsfp_detect_words"):
+            monkeypatch.setattr(
+                fs, name, lambda *a, **k: pytest.fail("PPSFP used for a one-word run")
+            )
+        want = reference_fault_sim(circuit, patterns, faults)
+        sim = FaultSimulator(circuit)
+        assert sim.run(patterns, faults).detected == want.detected
+        assert sim.run(patterns, faults, words=True).detected == want.detected
+
+    def test_large_runs_use_ppsfp_even_for_one_fault(self, monkeypatch):
+        circuit = c17()
+        patterns = _patterns(circuit, WORD_BITS + 1, 0)
+        faults = [StuckAtFault("N22", 0)]
         calls = []
         import repro.atpg.faultsim as fs
 
@@ -168,21 +172,8 @@ class TestModeDispatch:
         monkeypatch.setattr(
             fs, "ppsfp_detections", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        FaultSimulator(circuit).run(patterns, faults, mode="auto")
-        assert calls, "auto mode should dispatch to PPSFP at this scale"
-
-    def test_auto_stays_single_word_for_small_runs(self, monkeypatch):
-        circuit = c17()
-        patterns = _patterns(circuit, WORD_BITS, 0)  # one word: single path
-        faults = full_fault_list(circuit)
-        import repro.atpg.faultsim as fs
-
-        monkeypatch.setattr(
-            fs,
-            "ppsfp_detections",
-            lambda *a, **k: pytest.fail("PPSFP used for a one-word run"),
-        )
-        outcome = FaultSimulator(circuit).run(patterns, faults, mode="auto")
+        outcome = FaultSimulator(circuit).run(patterns, faults)
+        assert calls, "a run over more than one word should dispatch to PPSFP"
         want = reference_fault_sim(circuit, patterns, faults)
         assert outcome.detected == want.detected
-
+        assert outcome.undetected == want.undetected

@@ -263,7 +263,7 @@ class TestStructuralCompileCache:
         faults = full_fault_list(trial)[::7]
         rng = np.random.default_rng(3)
         pats = (rng.random((96, len(trial.inputs))) < 0.5).astype(np.uint8)
-        got = FaultSimulator(trial).run(pats, faults, drop_detected=False)
+        got = FaultSimulator(trial).run(pats, faults)
         want = reference_fault_sim(trial, pats, faults, drop_detected=False)
         assert got.detected == want.detected
         assert got.undetected == want.undetected

@@ -103,6 +103,8 @@ class TestBitSimEquivalence:
 
 
 class TestFaultSimEquivalence:
+    # ``drop`` switches the oracle's dropping; the compiled engine has no
+    # such switch and must match the oracle's first indices either way.
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("n_patterns", [33, 130])
     @pytest.mark.parametrize("drop", [True, False])
@@ -110,7 +112,7 @@ class TestFaultSimEquivalence:
         circuit = random_circuit(seed, max_gates=16)
         faults = full_fault_list(circuit)
         patterns = _patterns(circuit, n_patterns, seed)
-        got = FaultSimulator(circuit).run(patterns, faults, drop_detected=drop)
+        got = FaultSimulator(circuit).run(patterns, faults)
         want = reference_fault_sim(circuit, patterns, faults, drop_detected=drop)
         assert got.detected == want.detected  # same faults AND same first index
         assert got.undetected == want.undetected
@@ -120,7 +122,7 @@ class TestFaultSimEquivalence:
     def test_bundled_bench(self, c432_circuit, drop):
         faults = full_fault_list(c432_circuit)[::5]
         patterns = _patterns(c432_circuit, 150)
-        got = FaultSimulator(c432_circuit).run(patterns, faults, drop_detected=drop)
+        got = FaultSimulator(c432_circuit).run(patterns, faults)
         want = reference_fault_sim(c432_circuit, patterns, faults, drop_detected=drop)
         assert got.detected == want.detected
         assert set(got.undetected) == set(want.undetected)
