@@ -25,28 +25,12 @@ grid of ~ms cells, where every idle gap shows, stays under
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from pathlib import Path
 
+from perf_util import OUT_PATH, update_report
 from repro.api import CellSupervisor, ExperimentSpec, FleetPolicy, run_experiment
 from repro.api.runner import _campaign_worker
-
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_OUT_PATH = _REPO_ROOT / "BENCH_perf.json"
-
-
-def _update_report(section: str, payload: dict) -> None:
-    """Merge one section into ``BENCH_perf.json`` (sections own their keys)."""
-    report = {}
-    if _OUT_PATH.exists():
-        try:
-            report = json.loads(_OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report[section] = payload
-    _OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 N_CELLS = 6
@@ -135,7 +119,7 @@ def test_supervised_pool_overhead():
     per_cell_ms = _latency_probe()
     if per_cell_ms >= MAX_LATENCY_MS_PER_CELL:
         per_cell_ms = min(per_cell_ms, _latency_probe())  # confirm, as above
-    _update_report("fleet", {
+    update_report("fleet", {
         "workload": f"{N_CELLS} x c432 counter2 cells, {JOBS} workers, clean run",
         "n_cells": N_CELLS,
         "jobs": JOBS,
@@ -155,10 +139,10 @@ def test_supervised_pool_overhead():
     assert overhead_pct() < MAX_OVERHEAD_PCT, (
         f"supervised-pool overhead regressed: {overhead_pct():.2f}% > "
         f"{MAX_OVERHEAD_PCT}% on a clean campaign (per-cell supervision must "
-        f"stay off the hot path; see {_OUT_PATH})"
+        f"stay off the hot path; see {OUT_PATH})"
     )
     assert per_cell_ms < MAX_LATENCY_MS_PER_CELL, (
         f"supervision latency regressed: {per_cell_ms:.2f} ms per cell > "
         f"{MAX_LATENCY_MS_PER_CELL} ms on ~ms cells (workers sit idle between "
-        f"cells; see {_OUT_PATH})"
+        f"cells; see {OUT_PATH})"
     )

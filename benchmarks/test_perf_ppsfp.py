@@ -14,12 +14,9 @@ degrading to per-fault behaviour, not machine-to-machine variance.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 
+from perf_util import OUT_PATH, best_of_interleaved, update_report
 from repro.atpg import full_fault_list
 from repro.atpg.faultsim import reference_fault_sim
 from repro.atpg.ppsfp import ppsfp_detections
@@ -27,20 +24,6 @@ from repro.bench import c3540_like
 from repro.bench.iscas_extra import c6288_like
 from repro.sim.compiled import compile_circuit
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_OUT_PATH = _REPO_ROOT / "BENCH_perf.json"
-
-
-def _update_report(section: str, payload: dict) -> None:
-    """Merge one section into ``BENCH_perf.json`` (sections own their keys)."""
-    report = {}
-    if _OUT_PATH.exists():
-        try:
-            report = json.loads(_OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report[section] = payload
-    _OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 N_PATTERNS = 4096
 N_FAULTS = 128
@@ -53,21 +36,6 @@ CIRCUITS = {
 
 #: Loud-regression floor on the batched-vs-one-fault speedup, per circuit.
 MIN_SPEEDUP = 2.0
-
-
-def _best_of_interleaved(fns, repeats: int):
-    """Best-of-``repeats`` wall time per function, runs alternating.
-
-    Alternating keeps a burst of load on a shared machine from landing on
-    one side of the ratio only.
-    """
-    best = [float("inf")] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
 
 
 def _bench_ppsfp(name, build, rng):
@@ -91,7 +59,7 @@ def _bench_ppsfp(name, build, rng):
     detected = batched()
     assert detected == want, f"{name}: 64-fault batches diverged from the oracle"
 
-    t_one, t_ppsfp = _best_of_interleaved((one_fault, batched), REPEATS)
+    t_one, t_ppsfp = best_of_interleaved((one_fault, batched), REPEATS)
 
     work = len(faults) * N_PATTERNS
     return {
@@ -112,7 +80,7 @@ def test_ppsfp_batch_throughput():
     results = {
         name: _bench_ppsfp(name, build, rng) for name, build in CIRCUITS.items()
     }
-    _update_report("ppsfp", {
+    update_report("ppsfp", {
         "workload": f"{N_FAULTS} faults x {N_PATTERNS} patterns, "
         "batch_size=64 vs. batch_size=1",
         "units": "fault-patterns per second",
@@ -125,5 +93,5 @@ def test_ppsfp_batch_throughput():
     }
     assert not slow, (
         f"PPSFP batch speedup regressed below {MIN_SPEEDUP}x on {slow} "
-        f"(see {_OUT_PATH})"
+        f"(see {OUT_PATH})"
     )

@@ -441,6 +441,12 @@ class CompiledCircuit:
             self._cone_rows_cache[site] = cached
         return cached
 
+    def reader_rows(self) -> List[List[int]]:
+        """Per row, the rows that read it: the CSR fanout as Python lists."""
+        starts = self._edge_starts.tolist()
+        dst = self._edge_dst.tolist()
+        return [dst[starts[row] : starts[row + 1]] for row in range(self.n_nets)]
+
     def _subschedule_for_rows(self, rows: List[int]) -> Tuple[GateGroup, ...]:
         """Restrict the group schedule to the (sorted) member ``rows``."""
         return tuple(group for _, group in self._iter_subschedule(rows))

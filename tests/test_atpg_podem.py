@@ -12,7 +12,7 @@ from repro.atpg import (
     full_fault_list,
     generate_test,
 )
-from repro.netlist import Circuit, GateType
+from repro.netlist import Circuit, GateType, NetlistError
 
 
 class TestPodemOnC17:
@@ -108,12 +108,12 @@ class TestPodemValidity:
         c.add_gate("q", GateType.DFF, ("qn", "clk"))
         c.add_gate("qn", GateType.NOT, ("q",))
         c.set_output("q")
-        with pytest.raises(Exception):
+        with pytest.raises(NetlistError, match="combinational"):
             PodemEngine(c)
 
     def test_unknown_fault_site_rejected(self, c17_circuit):
         engine = PodemEngine(c17_circuit)
-        with pytest.raises(Exception):
+        with pytest.raises(NetlistError, match="'nope'"):
             engine.generate(StuckAtFault("nope", 0))
 
     def test_rare_excitation_found_on_wide_and(self, rare_node_circuit):
