@@ -14,16 +14,20 @@ degrading to per-fault behaviour, not machine-to-machine variance.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from perf_util import OUT_PATH, best_of_interleaved, update_report
 from repro.atpg import full_fault_list
-from repro.atpg.faultsim import reference_fault_sim
 from repro.atpg.ppsfp import ppsfp_detections
 from repro.bench import c3540_like
 from repro.bench.iscas_extra import c6288_like
 from repro.sim.compiled import compile_circuit
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import reference_fault_sim  # noqa: E402
 
 N_PATTERNS = 4096
 N_FAULTS = 128

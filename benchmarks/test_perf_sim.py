@@ -24,24 +24,28 @@ silently falling back to a per-gate path), not to pin exact machine speeds.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from perf_util import OUT_PATH, update_report
 from repro.atpg import full_fault_list
-from repro.atpg.faultsim import FaultSimulator, reference_fault_sim
+from repro.atpg.faultsim import FaultSimulator
 from repro.bench import c17, c499_like, c880_like, c1908_like, c3540_like
 from repro.bench.iscas_extra import c6288_like
 from repro.core.pipeline import TrojanZeroPipeline
-from repro.sim.bitsim import (
-    BitSimulator,
-    pack_patterns,
-    reference_run_packed,
-    unpack_patterns,
-)
-from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
+from repro.sim.bitsim import BitSimulator, pack_patterns, unpack_patterns
+from repro.sim.seqsim import SequentialSimulator
 from repro.trojan import insert_counter_trojan
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import (  # noqa: E402
+    ReferenceSequentialSimulator,
+    reference_fault_sim,
+    reference_run_packed,
+)
 
 
 N_PATTERNS = 4096

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..netlist.gate import GateType
+from ..netlist.gate import GATE_FUNCTION, BaseOp, GateType, derive_evaluators
 
 #: The unknown value.
 X = 2
@@ -66,51 +66,38 @@ def v_mux(d0: int, d1: int, sel: int) -> int:
     return X
 
 
+_EVAL3 = derive_evaluators(
+    {
+        BaseOp.AND: v_and,
+        BaseOp.OR: v_or,
+        BaseOp.XOR: v_xor,
+        BaseOp.BUF: lambda values: values[0],
+        BaseOp.MUX: lambda values: v_mux(values[0], values[1], values[2]),
+        BaseOp.ZERO: lambda values: 0,
+    },
+    v_not,
+)
+
+
 def evaluate3(gate_type: GateType, inputs: Sequence[int]) -> int:
     """3-valued evaluation of any combinational gate type."""
-    if gate_type is GateType.AND:
-        return v_and(inputs)
-    if gate_type is GateType.NAND:
-        return v_not(v_and(inputs))
-    if gate_type is GateType.OR:
-        return v_or(inputs)
-    if gate_type is GateType.NOR:
-        return v_not(v_or(inputs))
-    if gate_type is GateType.XOR:
-        return v_xor(inputs)
-    if gate_type is GateType.XNOR:
-        return v_not(v_xor(inputs))
-    if gate_type is GateType.NOT:
-        return v_not(inputs[0])
-    if gate_type is GateType.BUFF:
-        return inputs[0]
-    if gate_type is GateType.MUX:
-        return v_mux(inputs[0], inputs[1], inputs[2])
-    if gate_type is GateType.TIE0:
-        return 0
-    if gate_type is GateType.TIE1:
-        return 1
-    raise ValueError(f"cannot evaluate {gate_type} in 3-valued logic")
+    try:
+        fn = _EVAL3[gate_type]
+    except KeyError:
+        raise ValueError(f"cannot evaluate {gate_type} in 3-valued logic") from None
+    return fn(inputs)
 
 
-#: Controlling input value per gate family (None when no single value controls).
-CONTROLLING_VALUE: Dict[GateType, int] = {
-    GateType.AND: 0,
-    GateType.NAND: 0,
-    GateType.OR: 1,
-    GateType.NOR: 1,
+#: Does the gate invert its base AND/OR/XOR/BUF/MUX function?
+INVERTS: Dict[GateType, bool] = {
+    gate_type: inverted for gate_type, (_, inverted) in GATE_FUNCTION.items()
 }
 
-#: Does the gate invert its natural AND/OR/XOR core?
-INVERTS: Dict[GateType, bool] = {
-    GateType.AND: False,
-    GateType.NAND: True,
-    GateType.OR: False,
-    GateType.NOR: True,
-    GateType.XOR: False,
-    GateType.XNOR: True,
-    GateType.NOT: True,
-    GateType.BUFF: False,
+#: Controlling input value of the AND- and OR-based types (others have none).
+CONTROLLING_VALUE: Dict[GateType, int] = {
+    gate_type: 0 if op is BaseOp.AND else 1
+    for gate_type, (op, _) in GATE_FUNCTION.items()
+    if op in (BaseOp.AND, BaseOp.OR)
 }
 
 

@@ -1,10 +1,12 @@
 """PPSFP — parallel-pattern, parallel-fault stuck-at simulation.
 
-This is the engine :class:`repro.atpg.faultsim.FaultSimulator` runs for
-more than 64 patterns.  Simulating one fault at a time pays one
-Python-level cone re-evaluation per fault; for a fault list of hundreds
-(coverage-holes analysis, the defender's detection matrix) that per-fault
-dispatch, not the numpy work inside each cone, is the dominant cost.
+This is the engine behind every :class:`repro.atpg.faultsim.FaultSimulator`
+run, whatever the pattern count: one vector against every remaining fault
+(PODEM's cross-drop) is the one-word case of the same sweep.  Simulating
+one fault at a time pays one Python-level cone re-evaluation per fault; for
+a fault list of hundreds (coverage-holes analysis, the defender's detection
+matrix) that per-fault dispatch, not the numpy work inside each cone, is the
+dominant cost.
 
 This module packs up to :data:`FAULT_BATCH` faults into extra uint64
 word-columns of *one* widened value matrix and propagates all of them in a
@@ -31,18 +33,19 @@ single levelized sweep:
    good values and one ``OR`` reduction over the PO axis, giving each fault
    its detect words for the chunk.
 
-Two consumers share that sweep kernel.  :func:`ppsfp_detections` reduces a
-fault's words to its first set bit — the first detecting pattern, the same
-quantity the single-word walk and :func:`reference_fault_sim` report,
-bit-exactly (pinned by ``tests/test_ppsfp.py``).  It sweeps patterns in
-growing word chunks (64 patterns, then 256, then the budget width) with
-fault dropping at chunk granularity: easy faults cost one narrow sweep,
-survivors amortize the Python overhead over wider matrices, and because
-chunks are scanned in pattern order the recorded index is still the
-*global* first detection.  ``batch_size=1`` is the degenerate
-one-fault-per-sweep form of the same kernel.  :func:`ppsfp_detect_words`
-keeps the words themselves, with no dropping: the full detection matrix
-that static compaction in :mod:`repro.atpg.generate` works from.
+Two consumers share that sweep kernel.  :func:`ppsfp_detections` reduces
+each fault's words to its first set bit (:func:`first_detections`, one
+numpy reduction per batch) — the first detecting pattern, bit-exact with
+the test suite's block/Python-int oracle ``reference_fault_sim`` (pinned by
+``tests/test_ppsfp.py``).  It sweeps patterns in growing word chunks (64
+patterns, then 256, then the budget width) with fault dropping at chunk
+granularity: easy faults cost one narrow sweep, survivors amortize the
+Python overhead over wider matrices, and because chunks are scanned in
+pattern order the recorded index is still the *global* first detection.
+``batch_size=1`` is the degenerate one-fault-per-sweep form of the same
+kernel.  :func:`ppsfp_detect_words` keeps the words themselves, with no
+dropping: the full detection matrix that static compaction in
+:mod:`repro.atpg.generate` works from.
 """
 
 from __future__ import annotations
@@ -63,8 +66,13 @@ FAULT_BATCH = 64
 #: chunk width, so arbitrarily large pattern sets stay bounded in memory.
 MATRIX_BUDGET_BYTES = 256 << 20
 
-#: Max batch plans memoized per compiled circuit (ATPG drop-loops
-#: re-simulate stable survivor sets, so plans repeat across calls).
+#: Sentinel pattern index of a word with no set bit (see :func:`first_detections`).
+_NO_HIT = np.iinfo(np.int64).max
+
+#: Max batch plans memoized per compiled circuit.  Plans repeat whenever the
+#: same fault list meets the same circuit again: every cell of a small
+#: circuit simulates one collapsed list, and repeated thresholds replay
+#: their whole ATPG.
 _PLAN_CACHE_MAX = 256
 
 
@@ -77,14 +85,23 @@ def _plan_cache(compiled: CompiledCircuit) -> Dict:
     return cache
 
 
-def _first_pattern(detect_words: np.ndarray) -> Optional[int]:
-    """Index of the first set bit across a fault's (host) detect words."""
-    nonzero = np.flatnonzero(detect_words)
-    if nonzero.size == 0:
-        return None
-    word = int(nonzero[0])
-    bits = int(detect_words[word])
-    return word * WORD_BITS + ((bits & -bits).bit_length() - 1)
+def first_detections(detect: np.ndarray) -> np.ndarray:
+    """First detecting pattern per row of a ``(n, w)`` detect-word block.
+
+    Entry *i* is the index of row *i*'s first set bit (its first nonzero
+    word, then that word's lowest set bit), or -1 when the row is all zero.
+    One pass of ufuncs and reductions over the whole block, with no integer
+    indexing: that releases the interpreter lock, which costs a hand-off
+    whenever another thread is waiting for it.
+    """
+    lowest = detect & (np.uint64(0) - detect)  # two's complement isolates the bit
+    # A power of two converts to float64 exactly, so frexp's exponent is its
+    # bit index + 1; an empty word gives 0.
+    _, exponent = np.frexp(lowest.astype(np.float64))
+    offsets = np.arange(detect.shape[1]) * WORD_BITS - 1
+    index = np.where(exponent > 0, exponent + offsets, _NO_HIT)
+    first = index.min(axis=1, initial=_NO_HIT)
+    return np.where(first == _NO_HIT, -1, first)
 
 
 @dataclass
@@ -99,8 +116,8 @@ class _BatchPlan:
     be replicated into the widened matrix.
     """
 
-    sites: List[int]
-    stuck: List[np.uint64]
+    sites: np.ndarray
+    stuck: np.ndarray
     groups: Tuple[GateGroup, ...]
     po_rows: np.ndarray
     lo: np.ndarray
@@ -112,46 +129,45 @@ class _BatchPlan:
 def _build_plan(
     compiled: CompiledCircuit, batch: Sequence[StuckAtFault]
 ) -> _BatchPlan:
-    sites = [compiled.index[fault.net] for fault in batch]
-    stuck = [ALL_ONES if fault.value else np.uint64(0) for fault in batch]
-    groups, positions, po_rows = compiled.batch_cone_schedule(sites)
+    site_rows = [compiled.index[fault.net] for fault in batch]
+    sites = np.array(site_rows, dtype=np.intp)
+    stuck = np.array([ALL_ONES if f.value else 0 for f in batch], dtype=np.uint64)
+    groups, positions, po_rows = compiled.batch_cone_schedule(site_rows)
     n_sched = len(compiled.schedule)
     n_faults = len(batch)
     # Per-group slot ranges, computed on full-schedule positions (the
     # per-site group sets are cached on the compiled form) and then mapped
     # onto the union sub-schedule via ``positions``.
-    untouched = np.intp(n_faults)
-    lo_full = np.full(n_sched, untouched, dtype=np.intp)
+    cone_groups = [compiled.cone_group_positions_at(site) for site in site_rows]
+    group_pos = np.concatenate(cone_groups)
+    slot_of = np.repeat(
+        np.arange(n_faults, dtype=np.intp), [part.size for part in cone_groups]
+    )
+    lo_full = np.full(n_sched, n_faults, dtype=np.intp)
     hi_full = np.full(n_sched, -1, dtype=np.intp)
-    for slot, site in enumerate(sites):
-        cone_groups = compiled.cone_group_positions_at(site)
-        # Slots ascend, so the first touch fixes lo and every touch lifts hi.
-        lo_full[cone_groups] = np.where(
-            lo_full[cone_groups] == untouched, slot, lo_full[cone_groups]
-        )
-        hi_full[cone_groups] = slot
+    np.minimum.at(lo_full, group_pos, slot_of)
+    np.maximum.at(hi_full, group_pos, slot_of)
     lo = lo_full[positions]
     hi = hi_full[positions]
     # Site rows recomputed by some union group need re-forcing after it.
     forces: List[List[Tuple[int, int]]] = [[] for _ in range(len(groups))]
-    row_positions = compiled.row_schedule_positions()
-    for slot, site in enumerate(sites):
-        pos = int(row_positions[site])
-        if pos < 0:
-            continue
-        gpos = int(np.searchsorted(positions, pos))
-        if gpos < positions.size and positions[gpos] == pos:
-            forces[gpos].append((site, slot))
+    site_pos = compiled.row_schedule_positions()[sites]
+    gpos = np.searchsorted(positions, site_pos)
+    # A sentinel past the last position keeps the lookup in bounds.
+    recomputed = (site_pos >= 0) & (np.append(positions, -1)[gpos] == site_pos)
+    for slot in np.flatnonzero(recomputed).tolist():
+        forces[int(gpos[slot])].append((site_rows[slot], slot))
     # Rows the sweep touches: group inputs and outputs, POs, fault sites.
-    parts: List[np.ndarray] = [
-        np.asarray(sites, dtype=np.intp),
-        po_rows.astype(np.intp),
-    ]
+    # A membership mask instead of ``np.unique``: no sort, and no lazy
+    # ``numpy.ma`` import (about 1.5 MB of resident memory).
+    parts = [sites, po_rows]
     for group in groups:
-        parts.append(group.in_idx.ravel())
-        parts.append(group.out_idx)
-    touched = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.intp)
-    return _BatchPlan(sites, stuck, groups, po_rows, lo, hi, forces, touched)
+        parts += (group.in_idx.ravel(), group.out_idx)
+    touched = np.zeros(compiled.n_nets, dtype=bool)
+    touched[np.concatenate(parts)] = True
+    return _BatchPlan(
+        sites, stuck, groups, po_rows, lo, hi, forces, np.flatnonzero(touched)
+    )
 
 
 def _run_batch(
@@ -178,8 +194,7 @@ def _run_batch(
     values = np.empty((compiled.n_nets, n_faults * n_words), dtype=np.uint64)
     cube = values.reshape(compiled.n_nets, n_faults, n_words)
     cube[plan.touched] = good[plan.touched][:, None, :]
-    for slot, (site, word) in enumerate(zip(plan.sites, plan.stuck)):
-        values[site, slot * n_words : (slot + 1) * n_words] = word
+    cube[plan.sites, np.arange(n_faults)] = plan.stuck[:, None]
 
     for gpos, group in enumerate(plan.groups):
         view = values[:, plan.lo[gpos] * n_words : (plan.hi[gpos] + 1) * n_words]
@@ -299,7 +314,7 @@ def ppsfp_detections(
 ) -> Dict[StuckAtFault, int]:
     """Fault -> first detecting pattern index, PPSFP-batched.
 
-    Bit-exact with :func:`repro.atpg.faultsim.reference_fault_sim` at every
+    Bit-exact with the test suite's ``reference_fault_sim`` oracle at every
     ``batch_size`` (1 sweeps one fault at a time): every fault is judged
     against the pattern set in order, and the reported index is the globally
     first detecting pattern.
@@ -341,9 +356,9 @@ def ppsfp_detections(
             detect = _run_batch(compiled, plan, good, masks)
             if detect is None:
                 continue
-            for slot in np.flatnonzero(detect.any(axis=1)):
-                first = word0 * WORD_BITS + _first_pattern(detect[slot])
-                detected.setdefault(batch[slot], first)
+            for slot, index in enumerate(first_detections(detect).tolist()):
+                if index >= 0:
+                    detected.setdefault(batch[slot], word0 * WORD_BITS + index)
         word0 += width
     return detected
 

@@ -34,29 +34,47 @@ class GateType(enum.Enum):
         return self.value
 
 
+class BaseOp(enum.Enum):
+    """The uninverted core function of a combinational gate type."""
+
+    AND = "AND"
+    OR = "OR"
+    XOR = "XOR"
+    BUF = "BUF"  # the single input
+    MUX = "MUX"  # inputs: (d0, d1, select)
+    ZERO = "ZERO"  # constant 0, no inputs
+
+
+#: The one gate-semantics table: ``GateType -> (base op, inverted)``.  Every
+#: evaluator (scalar, three-valued, bit-parallel, probabilistic) implements
+#: the six base ops and applies the inversion, so a type's meaning lives here
+#: and nowhere else.  INPUT and DFF have no combinational function.
+GATE_FUNCTION: Dict[GateType, Tuple[BaseOp, bool]] = {
+    GateType.AND: (BaseOp.AND, False),
+    GateType.NAND: (BaseOp.AND, True),
+    GateType.OR: (BaseOp.OR, False),
+    GateType.NOR: (BaseOp.OR, True),
+    GateType.XOR: (BaseOp.XOR, False),
+    GateType.XNOR: (BaseOp.XOR, True),
+    GateType.BUFF: (BaseOp.BUF, False),
+    GateType.NOT: (BaseOp.BUF, True),
+    GateType.MUX: (BaseOp.MUX, False),
+    GateType.TIE0: (BaseOp.ZERO, False),
+    GateType.TIE1: (BaseOp.ZERO, True),
+}
+
+
 #: Gate types whose output is a pure function of current inputs.
-COMBINATIONAL_TYPES = frozenset(
-    {
-        GateType.AND,
-        GateType.NAND,
-        GateType.OR,
-        GateType.NOR,
-        GateType.XOR,
-        GateType.XNOR,
-        GateType.NOT,
-        GateType.BUFF,
-        GateType.MUX,
-        GateType.TIE0,
-        GateType.TIE1,
-    }
-)
+COMBINATIONAL_TYPES = frozenset(GATE_FUNCTION)
 
 #: Gate types that hold state.
 SEQUENTIAL_TYPES = frozenset({GateType.DFF})
 
 #: Gate types that accept an arbitrary number (>= 2) of inputs.
 VARIADIC_TYPES = frozenset(
-    {GateType.AND, GateType.NAND, GateType.OR, GateType.NOR, GateType.XOR, GateType.XNOR}
+    gate_type
+    for gate_type, (op, _) in GATE_FUNCTION.items()
+    if op in (BaseOp.AND, BaseOp.OR, BaseOp.XOR)
 )
 
 #: Exact input arity for the fixed-arity types.
@@ -70,9 +88,23 @@ FIXED_ARITY: Dict[GateType, int] = {
     GateType.DFF: 2,
 }
 
-#: Types whose output inverts the "natural" function (used by probability and
-#: D-calculus code to share AND/OR kernels).
-INVERTING_TYPES = frozenset({GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT})
+
+def derive_evaluators(
+    base: Dict[BaseOp, Callable], invert: Callable
+) -> Dict[GateType, Callable]:
+    """Per-type evaluators from per-base-op kernels and one inversion.
+
+    ``base[op]`` maps a gate's input sequence to the uninverted output;
+    ``invert`` maps an output to its complement in the caller's domain.
+    """
+
+    def inverted(fn: Callable) -> Callable:
+        return lambda inputs: invert(fn(inputs))
+
+    return {
+        gate_type: inverted(base[op]) if inv else base[op]
+        for gate_type, (op, inv) in GATE_FUNCTION.items()
+    }
 
 
 def _eval_and(bits: Sequence[int]) -> int:
@@ -96,20 +128,18 @@ def _eval_xor(bits: Sequence[int]) -> int:
     return out
 
 
-#: Scalar (single-bit) evaluation functions; values are plain ints 0/1.
-_EVAL: Dict[GateType, Callable[[Sequence[int]], int]] = {
-    GateType.AND: _eval_and,
-    GateType.NAND: lambda bits: 1 - _eval_and(bits),
-    GateType.OR: _eval_or,
-    GateType.NOR: lambda bits: 1 - _eval_or(bits),
-    GateType.XOR: _eval_xor,
-    GateType.XNOR: lambda bits: 1 - _eval_xor(bits),
-    GateType.NOT: lambda bits: 1 - bits[0],
-    GateType.BUFF: lambda bits: bits[0],
-    GateType.MUX: lambda bits: bits[1] if bits[2] else bits[0],
-    GateType.TIE0: lambda bits: 0,
-    GateType.TIE1: lambda bits: 1,
-}
+#: Scalar (single-bit) evaluation; values are plain ints 0/1.
+_SCALAR = derive_evaluators(
+    {
+        BaseOp.AND: _eval_and,
+        BaseOp.OR: _eval_or,
+        BaseOp.XOR: _eval_xor,
+        BaseOp.BUF: lambda bits: bits[0],
+        BaseOp.MUX: lambda bits: bits[1] if bits[2] else bits[0],
+        BaseOp.ZERO: lambda bits: 0,
+    },
+    lambda bit: 1 - bit,
+)
 
 
 def evaluate_gate(gate_type: GateType, inputs: Sequence[int]) -> int:
@@ -119,7 +149,7 @@ def evaluate_gate(gate_type: GateType, inputs: Sequence[int]) -> int:
     combinational function.
     """
     try:
-        fn = _EVAL[gate_type]
+        fn = _SCALAR[gate_type]
     except KeyError:
         raise ValueError(f"{gate_type} has no combinational evaluation") from None
     return fn(inputs)

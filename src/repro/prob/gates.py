@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
-from ..netlist.gate import GateType
+from ..netlist.gate import BaseOp, GateType, derive_evaluators
 
 
 def p_and(p_inputs: Sequence[float]) -> float:
@@ -42,33 +42,24 @@ def p_xor(p_inputs: Sequence[float]) -> float:
     return out
 
 
-def p_not(p_inputs: Sequence[float]) -> float:
-    return 1.0 - p_inputs[0]
-
-
-def p_buff(p_inputs: Sequence[float]) -> float:
-    return p_inputs[0]
-
-
 def p_mux(p_inputs: Sequence[float]) -> float:
     """P(MUX = 1) = (1 - Ps) Pd0 + Ps Pd1 for inputs (d0, d1, select)."""
     d0, d1, sel = p_inputs
     return (1.0 - sel) * d0 + sel * d1
 
 
-TRANSFER: Dict[GateType, Callable[[Sequence[float]], float]] = {
-    GateType.AND: p_and,
-    GateType.NAND: lambda ps: 1.0 - p_and(ps),
-    GateType.OR: p_or,
-    GateType.NOR: lambda ps: 1.0 - p_or(ps),
-    GateType.XOR: p_xor,
-    GateType.XNOR: lambda ps: 1.0 - p_xor(ps),
-    GateType.NOT: p_not,
-    GateType.BUFF: p_buff,
-    GateType.MUX: p_mux,
-    GateType.TIE0: lambda ps: 0.0,
-    GateType.TIE1: lambda ps: 1.0,
-}
+#: Per-type transfer functions, derived from the gate-semantics table.
+TRANSFER: Dict[GateType, Callable[[Sequence[float]], float]] = derive_evaluators(
+    {
+        BaseOp.AND: p_and,
+        BaseOp.OR: p_or,
+        BaseOp.XOR: p_xor,
+        BaseOp.BUF: lambda ps: ps[0],
+        BaseOp.MUX: p_mux,
+        BaseOp.ZERO: lambda ps: 0.0,
+    },
+    lambda p: 1.0 - p,
+)
 
 
 def gate_output_probability(gate_type: GateType, p_inputs: Sequence[float]) -> float:

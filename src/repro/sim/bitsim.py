@@ -14,15 +14,13 @@ The public entry points accept/return numpy arrays:
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.gate import GateType
 from .compiled import (
     ALL_ONES,
-    FULL_MASK,
     WORD_BITS,
     CompiledCircuit,
     compile_circuit,
@@ -32,14 +30,12 @@ from .compiled import (
 # module imports) and re-exported here as the stable public import point.
 __all__ = [
     "ALL_ONES",
-    "FULL_MASK",
     "WORD_BITS",
     "BitSimulator",
     "pack_patterns",
     "unpack_patterns",
     "toggle_matrix",
     "tail_mask",
-    "reference_run_packed",
     "simulate",
     "random_patterns",
     "exhaustive_patterns",
@@ -198,63 +194,6 @@ class BitSimulator:
         values = self._run_matrix(patterns)
         rows = np.array([self._compiled.index[net] for net in nets], dtype=np.intp)
         return unpack_patterns(values[rows], n_patterns)
-
-
-def _eval_packed(
-    gate_type: GateType, inputs: List[np.ndarray], ones: np.ndarray
-) -> np.ndarray:
-    """Evaluate one gate on packed uint64 vectors."""
-    if gate_type is GateType.AND or gate_type is GateType.NAND:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc &= word
-        return (acc ^ ones) if gate_type is GateType.NAND else acc
-    if gate_type is GateType.OR or gate_type is GateType.NOR:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc |= word
-        return (acc ^ ones) if gate_type is GateType.NOR else acc
-    if gate_type is GateType.XOR or gate_type is GateType.XNOR:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc ^= word
-        return (acc ^ ones) if gate_type is GateType.XNOR else acc
-    if gate_type is GateType.NOT:
-        return inputs[0] ^ ones
-    if gate_type is GateType.BUFF:
-        return inputs[0].copy()
-    if gate_type is GateType.MUX:
-        d0, d1, sel = inputs
-        return (d0 & (sel ^ ones)) | (d1 & sel)
-    raise NetlistError(f"cannot bit-simulate gate type {gate_type}")
-
-
-def reference_run_packed(
-    circuit: Circuit, packed_inputs: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Per-gate interpreter (the pre-compiled engine), kept as a reference.
-
-    Walks the netlist dict one gate at a time.  Used by the differential
-    tests in ``tests/test_sim_compiled.py`` and as the "before" measurement
-    in ``benchmarks/test_perf_sim.py``; production code should go through
-    :class:`BitSimulator` instead.
-    """
-    n_words = len(next(iter(packed_inputs.values()))) if packed_inputs else 1
-    values: Dict[str, np.ndarray] = {}
-    ones = np.full(n_words, ALL_ONES, dtype=np.uint64)
-    zeros = np.zeros(n_words, dtype=np.uint64)
-    for net in circuit.topological_order():
-        gate = circuit.gate(net)
-        gt = gate.gate_type
-        if gt is GateType.INPUT:
-            values[net] = np.asarray(packed_inputs[net], dtype=np.uint64)
-        elif gt is GateType.TIE0:
-            values[net] = zeros
-        elif gt is GateType.TIE1:
-            values[net] = ones
-        else:
-            values[net] = _eval_packed(gt, [values[i] for i in gate.inputs], ones)
-    return values
 
 
 def simulate(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:

@@ -32,13 +32,13 @@ Fault-simulation support
 ------------------------
 :meth:`CompiledCircuit.cone_rows_at` gives, per fault site, the
 topologically sorted rows of its fanout cone, walked over a CSR fanout
-adjacency the compiled form owns.  The single-word fault walk of
-:class:`~repro.atpg.faultsim.FaultSimulator` evaluates those rows one gate
-at a time; PPSFP (:mod:`repro.atpg.ppsfp`) asks
+adjacency the compiled form owns.  PPSFP (:mod:`repro.atpg.ppsfp`), the
+engine behind every :class:`~repro.atpg.faultsim.FaultSimulator` run, asks
 :meth:`CompiledCircuit.batch_cone_schedule` for the group schedule
-restricted to the union of a fault batch's cones and sweeps it once.  Cone
-rows and per-site group positions are cached on the compiled circuit, so
-every simulator built for the same (unmutated) circuit shares them.
+restricted to the union of a fault batch's cones and sweeps it once; PODEM
+scans the same cone rows for its D-frontier.  Cone rows and per-site group
+positions are cached on the compiled circuit, so every simulator built for
+the same (unmutated) circuit shares them.
 
 Sequential schedule
 -------------------
@@ -84,17 +84,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.gate import GateType
+from ..netlist.circuit import Circuit
+from ..netlist.gate import GATE_FUNCTION, BaseOp, GateType
 
 #: Patterns per simulation word (one uint64 per 64 patterns).
 WORD_BITS = 64
 
 #: All 64 bits set, as the uint64 scalar used in vectorized inversions.
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: All 64 bits set, as a Python int (for arbitrary-precision word walks).
-FULL_MASK = (1 << WORD_BITS) - 1
 
 #: Bound on the fired-DFF-set -> ripple sub-schedule cache (counters revisit
 #: a handful of sets; an adversarial workload must not grow it unboundedly).
@@ -107,17 +104,20 @@ _FIRE_FULL_FRACTION = 0.6
 
 _MISSING = object()
 
-#: numpy reduction ufunc per associative gate family.
+#: numpy reduction ufunc per associative base op.
 _REDUCERS = {
-    GateType.AND: np.bitwise_and,
-    GateType.NAND: np.bitwise_and,
-    GateType.OR: np.bitwise_or,
-    GateType.NOR: np.bitwise_or,
-    GateType.XOR: np.bitwise_xor,
-    GateType.XNOR: np.bitwise_xor,
+    BaseOp.AND: np.bitwise_and,
+    BaseOp.OR: np.bitwise_or,
+    BaseOp.XOR: np.bitwise_xor,
 }
 
-_INVERTING = frozenset({GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT})
+#: Per gate type, from the gate-semantics table: ``(kernel, inverted)``,
+#: where the kernel is the reduction ufunc or the BUF/MUX base op.  One
+#: lookup per group evaluation (enum hashing is a Python-level call).
+_GROUP_KERNEL = {
+    gate_type: (_REDUCERS.get(op, op), inverted)
+    for gate_type, (op, inverted) in GATE_FUNCTION.items()
+}
 
 
 @dataclass(frozen=True)
@@ -163,57 +163,46 @@ def _build_row_adjacency(
 
 
 def _evaluate_group(group: GateGroup, values: np.ndarray) -> None:
-    """Evaluate one gate group in place on the ``(n_nets, n_words)`` matrix."""
-    gt = group.gate_type
+    """Evaluate one gate group in place on the ``(n_nets, n_words)`` matrix.
+
+    The group's base op and inversion come from
+    :data:`~repro.netlist.gate.GATE_FUNCTION`.  TIE rows are constant
+    sources, so no group ever has the ZERO base op.
+    """
+    kernel, inverted = _GROUP_KERNEL[group.gate_type]
     in_idx = group.in_idx
     if in_idx.shape[0] == 1:
         # Single-gate group: basic row indexing (views) skips the gather
         # copies — these groups are ~half the schedule on real circuits, so
         # the per-group constant factor matters.
         row = in_idx[0]
-        if gt in _REDUCERS:
-            if row.size == 2:
-                acc = _REDUCERS[gt](values[row[0]], values[row[1]])
-            else:
-                acc = _REDUCERS[gt].reduce(values[row], axis=0)
-            if gt in _INVERTING:
-                np.invert(acc, out=acc)
-        elif gt is GateType.NOT:
-            acc = ~values[row[0]]
-        elif gt is GateType.BUFF:
+        if kernel is BaseOp.BUF:
             acc = values[row[0]]
-        elif gt is GateType.MUX:
+            values[group.out] = ~acc if inverted else acc
+            return
+        if kernel is BaseOp.MUX:
             d0 = values[row[0]]
             acc = ((values[row[1]] ^ d0) & values[row[2]]) ^ d0
-        else:  # pragma: no cover - enum is closed
-            raise NetlistError(f"cannot bit-simulate gate type {gt}")
-        values[group.out] = acc
-        return
-    if gt in _REDUCERS:
-        if in_idx.shape[1] == 2:
-            acc = _REDUCERS[gt](values[in_idx[:, 0]], values[in_idx[:, 1]])
+        elif row.size == 2:
+            acc = kernel(values[row[0]], values[row[1]])
         else:
-            acc = _REDUCERS[gt].reduce(values[in_idx], axis=1)
-        if gt in _INVERTING:
-            np.invert(acc, out=acc)
-        values[group.out] = acc
-        return
-    if gt is GateType.NOT:
-        values[group.out] = ~values[in_idx[:, 0]]
-        return
-    if gt is GateType.BUFF:
-        values[group.out] = values[in_idx[:, 0]]
-        return
-    if gt is GateType.MUX:
+            acc = kernel.reduce(values[row], axis=0)
+    elif kernel is BaseOp.BUF:
+        acc = values[in_idx[:, 0]]
+    elif kernel is BaseOp.MUX:
         d0 = values[in_idx[:, 0]]
         # d0 XOR ((d0 XOR d1) AND sel): selects d1 where sel is set.
         acc = values[in_idx[:, 1]]
         np.bitwise_xor(acc, d0, out=acc)
         np.bitwise_and(acc, values[in_idx[:, 2]], out=acc)
         np.bitwise_xor(acc, d0, out=acc)
-        values[group.out] = acc
-        return
-    raise NetlistError(f"cannot bit-simulate gate type {gt}")  # pragma: no cover
+    elif in_idx.shape[1] == 2:
+        acc = kernel(values[in_idx[:, 0]], values[in_idx[:, 1]])
+    else:
+        acc = kernel.reduce(values[in_idx], axis=1)
+    if inverted:
+        np.invert(acc, out=acc)
+    values[group.out] = acc
 
 
 class CompiledCircuit:
@@ -292,7 +281,7 @@ class CompiledCircuit:
         self.is_sequential = bool(dff_nets)
 
         #: Per-net (gate_type, input row indices); None for INPUT/TIE rows.
-        #: Used by scalar-word fallbacks (e.g. single-block fault simulation).
+        #: PODEM's event-driven implication walks it one gate at a time.
         self.node: List[object] = [None] * self.n_nets
 
         self.schedule: List[GateGroup] = []
@@ -422,8 +411,8 @@ class CompiledCircuit:
     def cone_rows_at(self, site: int) -> List[int]:
         """Topologically-sorted rows of row ``site``'s fanout cone (exclusive).
 
-        Cached per site; the single-word fault walk, PPSFP batch planning and
-        the sequential ripple schedule all read it.
+        Cached per site; PPSFP batch planning, PODEM's cone scans and the
+        sequential ripple schedule all read it.
         """
         cached = self._cone_rows_cache.get(site)
         if cached is None:
@@ -561,7 +550,10 @@ class CompiledCircuit:
         cached = self._cone_groups_cache.get(site)
         if cached is None:
             rows = np.asarray(self.cone_rows_at(site), dtype=np.intp)
-            cached = np.unique(self.row_schedule_positions()[rows])
+            # A membership mask, as in PPSFP planning: no ``np.unique``.
+            member = np.zeros(len(self.schedule), dtype=bool)
+            member[self.row_schedule_positions()[rows]] = True
+            cached = np.flatnonzero(member)
             self._cone_groups_cache[site] = cached
         return cached
 

@@ -92,12 +92,12 @@ class TestConeRestriction:
         assert whole == first | second
 
 
-# One shape per dispatch branch: the single-word walk and PPSFP, each with
-# and without the no-drop detection matrix.
+# One PPSFP sweep over one word and one over a second chunk, each with and
+# without the no-drop detection matrix.
 _SHAPES = pytest.mark.parametrize(
     "n_patterns, words",
     [(3, False), (3, True), (70, False), (70, True)],
-    ids=["single-word", "single-word-words", "ppsfp", "ppsfp-words"],
+    ids=["one-word", "one-word-words", "ppsfp", "ppsfp-words"],
 )
 
 

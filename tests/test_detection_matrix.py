@@ -2,9 +2,9 @@
 
 ``FaultSimulator.run(..., words=True)`` returns, per fault, its uint64
 detect words over every pattern.  Bit *p* of fault *f* must be set iff
-pattern *p* alone detects *f* under :func:`reference_fault_sim`, from
-both producers: the single-word masks (at most 64 patterns) and the PPSFP
-batch sweep (more than 64).
+pattern *p* alone detects *f* under :func:`oracles.reference_fault_sim`,
+for pattern counts inside one word and across several: the PPSFP sweep
+produces the matrix at every count.
 
 Compaction in :func:`generate_test_set` reads that matrix once instead of
 re-simulating per pattern; :func:`oracles.reference_compact` is the old
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_compact
+from oracles import reference_compact, reference_fault_sim
 from repro.atpg import (
     AtpgConfig,
     FaultSimulator,
@@ -27,7 +27,6 @@ from repro.atpg import (
     full_fault_list,
     generate_test_set,
 )
-from repro.atpg.faultsim import reference_fault_sim
 from repro.atpg.generate import _compact
 from repro.bench import c17, c432_like, c880_like
 from repro.bench.generators import Builder, declare_inputs

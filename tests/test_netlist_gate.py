@@ -2,8 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
+from repro.atpg.dcalc import X, evaluate3
 from repro.netlist.gate import (
     COMBINATIONAL_TYPES,
     FIXED_ARITY,
@@ -14,6 +16,8 @@ from repro.netlist.gate import (
     check_arity,
     evaluate_gate,
 )
+from repro.prob.gates import TRANSFER
+from repro.sim.compiled import GateGroup, _evaluate_group
 
 
 class TestEvaluateGate:
@@ -140,3 +144,63 @@ class TestTypeSets:
         assert FIXED_ARITY[GateType.MUX] == 3
         assert FIXED_ARITY[GateType.DFF] == 2
         assert FIXED_ARITY[GateType.TIE0] == 0
+
+
+def _arities(gate_type):
+    if gate_type in FIXED_ARITY:
+        return [FIXED_ARITY[gate_type]]
+    return [1, 2, 3]
+
+
+_TYPE_ARITY = [
+    (gt, arity)
+    for gt in sorted(COMBINATIONAL_TYPES, key=lambda gt: gt.value)
+    for arity in _arities(gt)
+]
+
+
+class TestGateFunctionTable:
+    """Every evaluator derived from ``GATE_FUNCTION`` agrees on every type."""
+
+    @pytest.mark.parametrize(
+        "gate_type,arity", _TYPE_ARITY, ids=[f"{gt}-{n}" for gt, n in _TYPE_ARITY]
+    )
+    def test_evaluators_agree(self, gate_type, arity):
+        binary = list(itertools.product((0, 1), repeat=arity))
+        truth = {bits: evaluate_gate(gate_type, bits) for bits in binary}
+        for bits, out in truth.items():
+            assert evaluate3(gate_type, bits) == out
+            assert TRANSFER[gate_type]([float(b) for b in bits]) == float(out)
+        # An X input: the output is known iff every completion agrees.
+        for values in itertools.product((0, 1, X), repeat=arity):
+            outs = {
+                truth[bits]
+                for bits in binary
+                if all(v == X or v == b for v, b in zip(values, bits))
+            }
+            want = outs.pop() if len(outs) == 1 else X
+            assert evaluate3(gate_type, values) == want, values
+        if arity:  # TIE rows are constant sources, never a scheduled group
+            self._check_group(gate_type, arity, binary, truth)
+
+    @staticmethod
+    def _check_group(gate_type, arity, binary, truth):
+        # Bit k of input row i holds input i of the k-th binary tuple; rows
+        # ``arity`` and ``arity + 1`` receive the gate outputs.
+        values = np.zeros((arity + 2, 1), dtype=np.uint64)
+        for k, bits in enumerate(binary):
+            for i, b in enumerate(bits):
+                values[i, 0] |= np.uint64(b << k)
+        mask = (1 << len(binary)) - 1
+        want = sum(out << k for k, out in enumerate(truth.values()))
+        ins = np.arange(arity, dtype=np.intp)
+        single = GateGroup(
+            1, gate_type, np.array([arity]), ins[None, :], slice(arity, arity + 1)
+        )
+        _evaluate_group(single, values)
+        assert int(values[arity, 0]) & mask == want
+        values[arity:] = 0
+        outs = np.array([arity, arity + 1], dtype=np.intp)
+        multi = GateGroup(1, gate_type, outs, np.stack([ins, ins]), outs)
+        _evaluate_group(multi, values)
+        assert [int(v) & mask for v in values[arity:, 0]] == [want, want]

@@ -1,10 +1,11 @@
 """Differential tests pinning the PPSFP engine bit-exactly.
 
 ``FaultSimulator.run`` must agree fault-for-fault, index-for-index with
-``reference_fault_sim``, the retained per-gate/Python-int oracle.  ``run``
-sends at most 64 patterns to the single-word cone walk and more to the
-parallel-pattern parallel-fault engine (``repro.atpg.ppsfp``), which packs
-up to 64 faults into extra word-column slices of one widened matrix.
+``reference_fault_sim``, the per-gate/Python-int oracle in
+``tests/oracles.py``.  Every ``run`` goes through the parallel-pattern
+parallel-fault engine (``repro.atpg.ppsfp``), which packs up to 64 faults
+into extra word-column slices of one widened matrix; a single pattern is
+its one-word case.
 
 The suite sweeps seeded random circuits, fault-batch sizes on both sides of
 the 64-slot word boundary (1, 7, 64, 100+), and pattern counts on both sides
@@ -17,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import reference_fault_sim
 from repro.atpg import FaultSimulator, StuckAtFault, full_fault_list
-from repro.atpg.faultsim import reference_fault_sim
 from repro.atpg.ppsfp import FAULT_BATCH, ppsfp_detections
 from repro.bench import c17, c432_like, c880_like
 from repro.netlist import Circuit, GateType
@@ -146,20 +147,26 @@ class TestIscasDifferential:
 
 
 class TestSizeDispatch:
-    def test_small_runs_stay_single_word(self, monkeypatch):
+    """No pattern count bypasses PPSFP, with or without the detect words."""
+
+    @pytest.mark.parametrize("n_patterns", [1, WORD_BITS])
+    def test_one_word_runs_use_ppsfp(self, monkeypatch, n_patterns):
         circuit = c880_like()
-        patterns = _patterns(circuit, WORD_BITS, 0)  # one word: single path
+        patterns = _patterns(circuit, n_patterns, 0)
         faults = _sample_faults(circuit, 2 * FAULT_BATCH, 0)
         import repro.atpg.faultsim as fs
 
+        calls = []
         for name in ("ppsfp_detections", "ppsfp_detect_words"):
+            real = getattr(fs, name)
             monkeypatch.setattr(
-                fs, name, lambda *a, **k: pytest.fail("PPSFP used for a one-word run")
+                fs, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
             )
         want = reference_fault_sim(circuit, patterns, faults)
         sim = FaultSimulator(circuit)
         assert sim.run(patterns, faults).detected == want.detected
         assert sim.run(patterns, faults, words=True).detected == want.detected
+        assert len(calls) == 2
 
     def test_large_runs_use_ppsfp_even_for_one_fault(self, monkeypatch):
         circuit = c17()

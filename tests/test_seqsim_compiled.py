@@ -12,15 +12,15 @@ case.  Also covers the structural-fingerprint compile cache and the patched
 import numpy as np
 import pytest
 
+from oracles import ReferenceSequentialSimulator, reference_fault_sim
 from repro.atpg import FaultSimulator, full_fault_list
-from repro.atpg.faultsim import reference_fault_sim
 from repro.bench import c17, c432_like, c880_like
 from repro.netlist import Circuit, GateType
 from repro.netlist.transform import strip_dead_logic, tie_net_to_constant
 from repro.prob.montecarlo import mc_signal_probabilities, mc_toggle_rates
 from repro.sim import BitSimulator, compile_circuit
 from repro.sim.compiled import COMPILE_STATS, CompiledCircuit
-from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
+from repro.sim.seqsim import SequentialSimulator
 from repro.trojan import insert_counter_trojan
 from repro.trojan.trigger import monte_carlo_pft
 

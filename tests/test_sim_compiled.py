@@ -1,24 +1,23 @@
 """Differential tests: compiled levelized engine vs. the reference interpreters.
 
 The compiled engine (``repro.sim.compiled``) must be bit-exact against the
-retained per-gate reference implementations on randomized circuits and on the
-bundled ISCAS-like benches, for both plain bit-parallel simulation and
-stuck-at fault simulation (single-word fast path, pre-drop hybrid, and the
-whole-matrix coverage path).
+per-gate reference interpreters of ``tests/oracles.py`` on randomized
+circuits and on the bundled ISCAS-like benches, for both plain bit-parallel
+simulation and stuck-at fault simulation (PPSFP, with the oracle dropping
+detected faults or not).
 """
 
 import numpy as np
 import pytest
 
+from oracles import reference_fault_sim, reference_run_packed
 from repro.atpg import FaultSimulator, full_fault_list
-from repro.atpg.faultsim import reference_fault_sim
 from repro.bench import c17, c432_like, c499_like, c880_like
 from repro.netlist import Circuit, GateType
 from repro.sim import (
     BitSimulator,
     compile_circuit,
     pack_patterns,
-    reference_run_packed,
     unpack_patterns,
 )
 

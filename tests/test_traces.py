@@ -9,12 +9,13 @@ serial-vs-parallel campaign payload parity with the ``traces`` suite.
 import numpy as np
 import pytest
 
+from oracles import ReferenceSequentialSimulator
 from repro.api import ExperimentSpec, load_records, run_campaign, run_experiment
 from repro.bench import c17, c432_like, c499_like
 from repro.power import analyze, switching_energy_fj, tech65_library
 from repro.prob.montecarlo import mc_toggle_rates
 from repro.sim.bitsim import BitSimulator, toggle_matrix
-from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
+from repro.sim.seqsim import SequentialSimulator
 from repro.traces import (
     CorrTraceDetector,
     DomTraceDetector,
